@@ -1,0 +1,100 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"testing"
+
+	"accals/internal/aig"
+	"accals/internal/aiger"
+	"accals/internal/circuits"
+	"accals/internal/errmetric"
+)
+
+// TestGoldenTrajectories is the refactor gate of the core loop: each
+// cell pins a full synthesis run's outcome — final AND count, the
+// exact bits of the final error, round count, stop reason and the
+// SHA-256 of the final circuit's binary AIGER. Every cell runs at
+// Workers 1 and 2 with Incremental off and on, and all four runs must
+// reproduce the one expected row, so a change to the loop that moves
+// any trajectory, or lets the switches disagree, fails here.
+func TestGoldenTrajectories(t *testing.T) {
+	mult4 := func() *aig.Graph { return circuits.ArrayMult(4) }
+	rca8 := func() *aig.Graph { return circuits.RCA(8) }
+	cases := []struct {
+		name      string
+		build     func() *aig.Graph
+		metric    errmetric.Kind
+		bound     float64
+		ld        float64
+		ands      int
+		errBits   uint64
+		rounds    int
+		stop      string
+		aigSHA256 string
+	}{
+		{"mult4-er", mult4, errmetric.ER, 0.03, 0,
+			110, 0x3f90000000000000, 3, "bounded", "08ae0928cbd3024c397aada5235848ac8632f88afe37b113d80800717299ef9c"},
+		{"mult4-nmed", mult4, errmetric.NMED, 0.03, 0,
+			42, 0x3f9dc5c5c5c5c5bb, 10, "bounded", "70742f66f262485af785ac87e4886be71132cb25e85eee7a8dedc0d630f7a2d4"},
+		{"mult4-mred", mult4, errmetric.MRED, 0.03, 0,
+			85, 0x3f9d0d91912d0a89, 8, "bounded", "1750d1daa1bd4e499b8c1b034977e2d9b4bdd05a26af8063009af4cf701096d7"},
+		{"mult4-er-revert", mult4, errmetric.ER, 0.03, -0.5,
+			109, 0x3f90000000000000, 6, "bounded", "97834a043087d619aac9b7ca6f1c3cbbeb7c4930277cf84e0ed7d4f6f2325d7e"},
+		{"rca8-maxed", rca8, errmetric.MaxED, 16, 0,
+			47, 0x402a000000000000, 5, "bounded", "09fad21aee577a826a0c8df560157bf8ca03b5ba7b2fb6568b2bd8b39177d67d"},
+	}
+
+	runs, guardRounds, revertedRounds := 0, 0, 0
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} {
+			for _, incremental := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/workers=%d/incremental=%v", tc.name, workers, incremental), func(t *testing.T) {
+					res := Run(tc.build(), tc.metric, tc.bound, Options{
+						NumPatterns: 1024,
+						Workers:     workers,
+						Incremental: incremental,
+						Params:      Params{Seed: 7, MaxRounds: 30, LD: tc.ld},
+					})
+					var buf bytes.Buffer
+					if err := aiger.WriteBinary(&buf, res.Final); err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(buf.Bytes())
+					got := fmt.Sprintf("ands=%d err=%#x rounds=%d stop=%s sha256=%s",
+						res.Final.NumAnds(), math.Float64bits(res.Error), len(res.Rounds),
+						res.StopReason, hex.EncodeToString(sum[:]))
+					want := fmt.Sprintf("ands=%d err=%#x rounds=%d stop=%s sha256=%s",
+						tc.ands, tc.errBits, tc.rounds, tc.stop, tc.aigSHA256)
+					if got != want {
+						t.Errorf("trajectory moved:\n got %s\nwant %s", got, want)
+					}
+					runs++
+					for _, r := range res.Rounds {
+						if r.GuardSingle {
+							guardRounds++
+						}
+						if r.Reverted {
+							revertedRounds++
+						}
+					}
+				})
+			}
+		}
+	}
+	// The table must reach both of the loop's fallback paths, or a
+	// refactor of either would go unchecked. A -run filter that skips
+	// cells skips this check too.
+	if runs < 4*len(cases) {
+		return
+	}
+	if guardRounds == 0 {
+		t.Error("no cell ran a guard-single round")
+	}
+	if revertedRounds == 0 {
+		t.Error("no cell ran a reverted round")
+	}
+}

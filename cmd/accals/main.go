@@ -34,13 +34,13 @@
 //	report runs/mtp8
 //
 // Candidate evaluation can be farmed out to external evaluator
-// processes (the same binary in -serve-eval mode) and overlapped
-// across rounds with -speculate; both switches are bit-identical to a
-// local sequential run:
+// processes (the same binary in -serve-eval mode); the result is
+// bit-identical to a local run, and any transport failure falls back
+// to local evaluation:
 //
 //	accals -serve-eval -listen 127.0.0.1:7001 &
 //	accals -serve-eval -listen 127.0.0.1:7002 &
-//	accals -circuit mtp8 -bound 0.05 -evaluators 127.0.0.1:7001,127.0.0.1:7002 -speculate
+//	accals -circuit mtp8 -bound 0.05 -evaluators 127.0.0.1:7001,127.0.0.1:7002
 package main
 
 import (
@@ -87,7 +87,6 @@ type config struct {
 	patterns    int
 	workers     int
 	incremental bool
-	speculate   bool
 	seed        int64
 	hasSeed     bool // -seed given explicitly
 	outPath     string
@@ -139,7 +138,6 @@ func parseFlags(args []string) (*config, bool, error) {
 	fs.IntVar(&cfg.patterns, "patterns", 8192, "Monte-Carlo pattern budget")
 	fs.IntVar(&cfg.workers, "workers", 0, "evaluation worker count (0 = one per CPU, 1 = sequential); results are identical at any setting")
 	fs.BoolVar(&cfg.incremental, "incremental", true, "reuse cached LAC candidates outside each round's dirty cone; results are identical either way")
-	fs.BoolVar(&cfg.speculate, "speculate", false, "overlap rounds by speculatively generating the next round's candidates while the current round measures; results are identical either way")
 	fs.Int64Var(&cfg.seed, "seed", 1, "random seed")
 	fs.StringVar(&cfg.outPath, "out", "", "write the approximate circuit as BLIF")
 	fs.StringVar(&cfg.aigerPath, "aiger", "", "write the approximate circuit as binary AIGER")
@@ -233,8 +231,8 @@ func (c *config) validate() error {
 	if c.evalFaults != "" && c.evaluators == "" {
 		return errors.New("-eval-faults needs -evaluators <addrs> to inject faults into")
 	}
-	if c.method != "accals" && (c.evaluators != "" || c.speculate) {
-		return fmt.Errorf("-evaluators and -speculate require -method accals (got %s)", c.method)
+	if c.method != "accals" && c.evaluators != "" {
+		return fmt.Errorf("-evaluators requires -method accals (got %s)", c.method)
 	}
 	if c.evalFaults != "" {
 		if _, err := faultinject.Parse(c.evalFaultSeed, c.evalFaults); err != nil {
@@ -330,7 +328,6 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		MaxRuntime:  cfg.maxRuntime,
 		Workers:     cfg.workers,
 		Incremental: cfg.incremental,
-		Speculate:   cfg.speculate,
 		CertBudget:  cfg.certBudget,
 	}
 	ropt.HasPatternSeed = cfg.hasSeed
@@ -450,7 +447,6 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 			Patterns:    cfg.patterns,
 			Workers:     cfg.workers,
 			Incremental: cfg.incremental,
-			Speculate:   cfg.speculate,
 			Evaluators:  evalCount,
 			TraceID:     rec.TraceID(),
 			Resumed:     cfg.resume,
@@ -462,12 +458,12 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		fmt.Fprintf(w, "bundle:    %s\n", bundle.Dir())
 	}
 
-	// Trace context propagation: a traced run upgrades the evaluator
-	// protocol so remote spans come back and land on this run's
+	// Trace context propagation: a traced run hands its trace id to the
+	// evaluators so remote spans come back and land on this run's
 	// timeline. Decided after every tracer is attached (-trace flags
 	// above, the bundle's own trace just before this), and only then —
-	// an untraced run keeps the version-1 wire bytes and the zero-cost
-	// dispatch hot path.
+	// an untraced run sends an empty trace id, and neither side records
+	// telemetry.
 	if ropt.Evaluators != nil && rec.Tracing() {
 		ropt.Evaluators.TraceID = rec.TraceID()
 	}

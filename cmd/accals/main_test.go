@@ -649,7 +649,6 @@ func TestValidateEvaluatorFlags(t *testing.T) {
 		want string
 	}{
 		{"faults without evaluators", []string{"-circuit", "mtp8", "-eval-faults", "dispatch.connect:error:1"}, "-evaluators"},
-		{"speculate with seals", []string{"-circuit", "mtp8", "-method", "seals", "-speculate"}, "-method accals"},
 		{"evaluators with seals", []string{"-circuit", "mtp8", "-method", "seals", "-evaluators", "127.0.0.1:1"}, "-method accals"},
 		{"bad fault spec", []string{"-circuit", "mtp8", "-evaluators", "127.0.0.1:1", "-eval-faults", "dispatch.connect:explode:1"}, "unknown mode"},
 	}
@@ -662,35 +661,13 @@ func TestValidateEvaluatorFlags(t *testing.T) {
 		})
 	}
 	ok := []string{"-circuit", "mtp8", "-evaluators", "127.0.0.1:1,127.0.0.1:2",
-		"-eval-faults", "dispatch.connect:error:0.5,dispatch.frame:truncate:0.1", "-speculate"}
+		"-eval-faults", "dispatch.connect:error:0.5,dispatch.frame:truncate:0.1"}
 	if err := mustParse(t, ok...).validate(); err != nil {
 		t.Fatalf("valid evaluator config rejected: %v", err)
 	}
-}
-
-// TestRunSpeculateMatchesBaseline: -speculate only overlaps work, it
-// never changes the report (runtime line aside).
-func TestRunSpeculateMatchesBaseline(t *testing.T) {
-	out := func(extra ...string) string {
-		var buf bytes.Buffer
-		args := append([]string{"-circuit", "mtp8", "-bound", "0.03", "-patterns", "1024", "-seed", "7", "-workers", "2"}, extra...)
-		cfg := mustParse(t, args...)
-		if err := cfg.validate(); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(context.Background(), cfg, &buf); err != nil {
-			t.Fatalf("run %v: %v", extra, err)
-		}
-		var stable []string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if !strings.HasPrefix(line, "runtime:") {
-				stable = append(stable, line)
-			}
-		}
-		return strings.Join(stable, "\n")
-	}
-	if a, b := out(), out("-speculate"); a != b {
-		t.Fatalf("-speculate changed the report:\n%s\n---\n%s", a, b)
+	// -speculate is not a flag: the parse error is exit status 2.
+	if _, _, err := parseFlags([]string{"-circuit", "mtp8", "-speculate"}); err == nil {
+		t.Fatal("-speculate parsed; want an unknown-flag error")
 	}
 }
 
@@ -724,9 +701,9 @@ func startEvalServer(t *testing.T, workers int) string {
 
 // TestRunEvaluatorsEndToEnd drives the whole distributed path through
 // the CLI: two in-process -serve-eval servers, a synthesis run farming
-// estimation to them (with speculation on), and a third run with
-// injected transport faults forcing mid-batch local failover. All
-// reports and output circuits must match the purely local run.
+// estimation to them, and a third run with injected transport faults
+// forcing mid-batch local failover. All reports and output circuits
+// must match the purely local run.
 func TestRunEvaluatorsEndToEnd(t *testing.T) {
 	addrs := startEvalServer(t, 2) + "," + startEvalServer(t, 2)
 	dir := t.TempDir()
@@ -759,7 +736,7 @@ func TestRunEvaluatorsEndToEnd(t *testing.T) {
 	}
 
 	localRep, localBlob := out("local")
-	remoteRep, remoteBlob := out("remote", "-evaluators", addrs, "-speculate")
+	remoteRep, remoteBlob := out("remote", "-evaluators", addrs)
 	if localRep != remoteRep {
 		t.Fatalf("distributed report differs from local:\n%s\n---\n%s", localRep, remoteRep)
 	}
@@ -767,7 +744,7 @@ func TestRunEvaluatorsEndToEnd(t *testing.T) {
 		t.Fatal("distributed run wrote a different circuit than the local run")
 	}
 
-	faultyRep, faultyBlob := out("faulty", "-evaluators", addrs, "-speculate",
+	faultyRep, faultyBlob := out("faulty", "-evaluators", addrs,
 		"-eval-faults", "dispatch.connect:error:0.3,dispatch.frame:truncate:0.2,dispatch.send:error:0.2")
 	if localRep != faultyRep {
 		t.Fatalf("fault-injected report differs from local:\n%s\n---\n%s", localRep, faultyRep)

@@ -12,13 +12,13 @@
 //	report -job j0.tar.gz            decode a daemon job bundle download
 //
 // Timeline mode reads the bundle's trace.jsonl — which, on a traced
-// distributed run, merges the coordinator's phase spans with the
-// speculation lane, per-connection RPC round trips and clock-mapped
-// remote evaluator telemetry — and attributes each round's wall-clock
-// to local compute, network, remote queueing, remote compute and
-// speculation overlap, with the unattributed remainder printed (see
-// timeline.go). The -csv export gains tl_* columns with the same
-// breakdown; they stay empty for traceless bundles.
+// distributed run, merges the coordinator's phase spans with
+// per-connection RPC round trips and clock-mapped remote evaluator
+// telemetry — and attributes each round's wall-clock to local compute,
+// network, remote queueing and remote compute, with the unattributed
+// remainder printed (see timeline.go). The -csv export gains tl_*
+// columns with the same breakdown; they stay empty for traceless
+// bundles.
 //
 // Job mode takes a bundle downloaded from a running accalsd
 // (GET /v1/jobs/{id}/bundle, a tar.gz) or the job's bundle directory
@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	threshold := fs.Float64("threshold", 0.0, "relative difference above which -diff reports a regression (e.g. 0.05 = 5%)")
 	ignore := fs.String("ignore", "", "comma-separated path substrings to skip in -diff (e.g. runtime,seconds)")
 	csvPath := fs.String("csv", "", "export the per-round table as CSV to this file")
-	timeline := fs.Bool("timeline", false, "print the merged per-round wall-clock breakdown from the bundle's trace.jsonl (local/network/remote-queue/remote-compute/speculation)")
+	timeline := fs.Bool("timeline", false, "print the merged per-round wall-clock breakdown from the bundle's trace.jsonl (local/network/remote-queue/remote-compute)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -276,10 +276,6 @@ func analyse(arg, csvPath string, timeline bool, w io.Writer) error {
 		acc.MeanAbs, acc.MaxAbs, acc.MaxRound, acc.Rounds)
 	single, reverts := t.Guards()
 	fmt.Fprintf(w, "guards:       %d single-LAC fallbacks, %d negative-set reverts\n", single, reverts)
-	if launched, hits := t.Speculation(); launched > 0 {
-		fmt.Fprintf(w, "speculation:  %d of %d predictions hit (%.1f%% of %d rounds pipelined)\n",
-			hits, launched, 100*float64(hits)/float64(launched), launched)
-	}
 	if attempts, certified, conflicts := t.Certification(); attempts > 0 {
 		fmt.Fprintf(w, "certification: %d of %d rounds SAT-certified (%d solver conflicts)\n",
 			certified, attempts, conflicts)
@@ -368,14 +364,13 @@ func writeCSV(path string, t *ledger.Trajectory, tl *traceTimeline) error {
 	cw := csv.NewWriter(f)
 	header := []string{
 		"round", "multi", "guard_single", "reverted", "picked_indp",
-		"speculated", "spec_hit",
 		"applied", "candidates", "budget_left", "top_size",
 		"conflict_nodes", "conflict_edges", "sol_size",
 		"infl_pairs", "infl_above", "mis_size", "indp_size", "rand_size",
 		"duel_indp_err", "duel_rand_err", "est_err", "error",
 		"certified", "cert_conflicts",
 		"num_ands", "area", "depth", "no_progress", "duration_us",
-		"tl_local_us", "tl_spec_us", "tl_remote_us", "tl_net_us", "tl_queue_us",
+		"tl_local_us", "tl_remote_us", "tl_net_us", "tl_queue_us",
 	}
 	if err := cw.Write(header); err != nil {
 		f.Close()
@@ -418,7 +413,6 @@ func writeCSV(path string, t *ledger.Trajectory, tl *traceTimeline) error {
 	for _, r := range t.Rounds {
 		rec := []string{
 			strconv.Itoa(r.Round), fb(r.Multi), fb(r.GuardSingle), fb(r.Reverted), fb(r.PickedIndp),
-			fb(r.Speculated), fb(r.SpecHit),
 			strconv.Itoa(len(r.Applied)), strconv.Itoa(r.Candidates), ff(r.BudgetLeft), strconv.Itoa(r.TopSize),
 			strconv.Itoa(r.ConflictNodes), strconv.Itoa(r.ConflictEdges), strconv.Itoa(r.SolSize),
 			strconv.Itoa(r.InflPairs), strconv.Itoa(r.InflAbove), strconv.Itoa(r.MISSize),
@@ -428,7 +422,6 @@ func writeCSV(path string, t *ledger.Trajectory, tl *traceTimeline) error {
 			strconv.Itoa(r.NumAnds), ff(r.Area), strconv.Itoa(r.Depth),
 			strconv.Itoa(r.NoProgress), strconv.FormatInt(r.DurationUS, 10),
 			ftl(r.Round, func(b *roundBreakdown) int64 { return b.local }),
-			ftl(r.Round, func(b *roundBreakdown) int64 { return b.spec }),
 			ftl(r.Round, func(b *roundBreakdown) int64 { return b.remote }),
 			ftl(r.Round, func(b *roundBreakdown) int64 { return b.net }),
 			ftl(r.Round, func(b *roundBreakdown) int64 { return b.queue }),

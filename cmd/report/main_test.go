@@ -314,6 +314,29 @@ func TestReportJobWithoutJobJSON(t *testing.T) {
 	}
 }
 
+// TestReportLegacyBundle: a bundle written while speculative
+// pipelining existed — speculated/spec_hit on its ledger rounds,
+// speculate/evaluators in its manifest, a speculation-lane span in its
+// trace — still analyses in every mode.
+func TestReportLegacyBundle(t *testing.T) {
+	dir := filepath.Join("..", "..", "internal", "ledger", "testdata", "legacy-speculate")
+	csvPath := filepath.Join(t.TempDir(), "rounds.csv")
+	for _, args := range [][]string{
+		{dir},
+		{"-job", dir},
+		{"-timeline", dir},
+		{"-csv", csvPath, dir},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("report %v: exit %d, stderr: %s", args, code, errb.String())
+		}
+		if !strings.Contains(out.String(), "finish:       bounded after 3 rounds") {
+			t.Errorf("report %v: analysis incomplete:\n%s", args, out.String())
+		}
+	}
+}
+
 func TestReportJobRejectsUnsafeArchive(t *testing.T) {
 	// An archive entry escaping the extraction directory is refused.
 	evil := filepath.Join(t.TempDir(), "evil.tar.gz")

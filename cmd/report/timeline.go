@@ -14,10 +14,10 @@ import (
 )
 
 // Timeline mode (-timeline) merges the bundle's trace.jsonl — local
-// phase spans, the speculation lane, per-connection RPC round trips
-// and clock-mapped remote evaluator telemetry — into a per-round
-// wall-clock breakdown. Each round's window (its "round" span) is
-// attributed to five disjoint buckets:
+// phase spans, per-connection RPC round trips and clock-mapped remote
+// evaluator telemetry — into a per-round wall-clock breakdown. Each
+// round's window (its "round" span) is attributed to four disjoint
+// buckets:
 //
 //	remote-compute  coordinator blocked on an RPC while a remote
 //	                evaluator span was executing
@@ -29,8 +29,6 @@ import (
 //	local-compute   local phase work outside any RPC wait (the local
 //	                estimate span wraps the blocking dispatch call, so
 //	                RPC waits are carved out of it first)
-//	speculation     speculative-lane work the main thread actually
-//	                waited on (not hidden under local or RPC time)
 //
 // Whatever remains is printed as unattributed — it is never silently
 // folded into a bucket.
@@ -150,7 +148,6 @@ type roundBreakdown struct {
 	round  int
 	wall   int64
 	local  int64
-	spec   int64
 	remote int64
 	net    int64
 	queue  int64
@@ -164,7 +161,6 @@ func (r *roundBreakdown) critical() string {
 		name string
 		us   int64
 	}{
-		{"speculation", r.spec},
 		{"remote-compute", r.remote},
 		{"network", r.net},
 		{"remote-queue", r.queue},
@@ -278,7 +274,7 @@ func buildTimeline(spans []traceSpan) *traceTimeline {
 	sort.Strings(tl.procs)
 
 	for _, win := range windows {
-		var localIv, specIv, remoteIv, rpcIv []iv
+		var localIv, remoteIv, rpcIv []iv
 		var netBudget int64
 		for _, s := range spans {
 			c, ok := clipSpan(s, win.w)
@@ -291,8 +287,6 @@ func buildTimeline(spans []traceSpan) *traceTimeline {
 				netBudget += min64(s.NetUS, c.e-c.s)
 			case s.Proc != "" || s.PID > 1:
 				remoteIv = append(remoteIv, c)
-			case s.TID == 2: // speculation lane
-				specIv = append(specIv, c)
 			case s.TID == 1 && s.Phase != "round":
 				localIv = append(localIv, c)
 			}
@@ -300,20 +294,17 @@ func buildTimeline(spans []traceSpan) *traceTimeline {
 		rpcU := union(rpcIv)
 		remoteU := union(remoteIv)
 		localU := union(localIv)
-		specU := union(specIv)
 
 		// Disjoint attribution: blocked-on-RPC time first (remote
 		// compute within it, then the RTT-bounded network share, the
-		// rest is queueing), then local work outside RPC waits, then
-		// speculation the main thread was not otherwise covering.
+		// rest is queueing), then local work outside RPC waits.
 		rb := roundBreakdown{round: win.round, wall: win.w.e - win.w.s}
 		rb.remote = length(intersect(remoteU, rpcU))
 		blockedRest := length(rpcU) - rb.remote
 		rb.net = min64(netBudget, blockedRest)
 		rb.queue = blockedRest - rb.net
 		rb.local = length(subtract(localU, rpcU))
-		rb.spec = length(subtract(specU, union(append(append([]iv{}, localU...), rpcU...))))
-		rb.unattr = rb.wall - rb.local - rb.spec - rb.remote - rb.net - rb.queue
+		rb.unattr = rb.wall - rb.local - rb.remote - rb.net - rb.queue
 		if rb.unattr < 0 {
 			rb.unattr = 0
 		}
@@ -354,7 +345,7 @@ func printTimeline(tl *traceTimeline, w io.Writer) {
 		return
 	}
 
-	fmt.Fprintf(w, "\nround  wall_ms   local%%   spec%%  remote%%    net%%  queue%%  unattr%%  critical\n")
+	fmt.Fprintf(w, "\nround  wall_ms   local%%  remote%%    net%%  queue%%  unattr%%  critical\n")
 	var tot roundBreakdown
 	pct := func(us, wall int64) float64 {
 		if wall <= 0 {
@@ -363,21 +354,20 @@ func printTimeline(tl *traceTimeline, w io.Writer) {
 		return 100 * float64(us) / float64(wall)
 	}
 	for _, r := range tl.rounds {
-		fmt.Fprintf(w, "%5d  %7.1f  %6.1f  %6.1f   %6.1f  %6.1f  %6.1f   %6.1f  %s\n",
+		fmt.Fprintf(w, "%5d  %7.1f  %6.1f   %6.1f  %6.1f  %6.1f   %6.1f  %s\n",
 			r.round, float64(r.wall)/1e3,
-			pct(r.local, r.wall), pct(r.spec, r.wall), pct(r.remote, r.wall),
+			pct(r.local, r.wall), pct(r.remote, r.wall),
 			pct(r.net, r.wall), pct(r.queue, r.wall), pct(r.unattr, r.wall),
 			r.critical())
 		tot.wall += r.wall
 		tot.local += r.local
-		tot.spec += r.spec
 		tot.remote += r.remote
 		tot.net += r.net
 		tot.queue += r.queue
 		tot.unattr += r.unattr
 	}
-	fmt.Fprintf(w, "\nbreakdown:  local-compute %.1f%%, speculation %.1f%%, remote-compute %.1f%%, network %.1f%%, remote-queue %.1f%%, unattributed %.1f%% of %.3fs round wall-clock\n",
-		pct(tot.local, tot.wall), pct(tot.spec, tot.wall), pct(tot.remote, tot.wall),
+	fmt.Fprintf(w, "\nbreakdown:  local-compute %.1f%%, remote-compute %.1f%%, network %.1f%%, remote-queue %.1f%%, unattributed %.1f%% of %.3fs round wall-clock\n",
+		pct(tot.local, tot.wall), pct(tot.remote, tot.wall),
 		pct(tot.net, tot.wall), pct(tot.queue, tot.wall), pct(tot.unattr, tot.wall),
 		float64(tot.wall)/1e6)
 

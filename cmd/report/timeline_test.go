@@ -30,26 +30,23 @@ func writeTrace(t *testing.T, dir string, lines []string) {
 
 // syntheticTrace is a two-round distributed trace with known numbers:
 //
-// round 0, window [0, 10000):
+// round 0, window [0, 9000):
 //   - local simulate [0, 2000), local estimate [2000, 9000) — the
 //     estimate span wraps the blocking RPC, as the real runner's does
 //   - rpc:eval on the dispatch lane [3000, 7000), rtt bound 500µs
 //   - remote:estimate from evaluator pid 42, clock-mapped [3500, 5500)
-//   - speculation lane [8000, 11000), clipped to the window and shadowed
-//     by local estimate up to 9000
 //
 // Expected attribution: remote 2000, network 500, queue 1500,
-// local 5000, speculation 1000, unattributed 0.
+// local 5000, unattributed 0.
 //
 // round 1, window [12000, 20000): one local span of 6000 → local 6000,
 // unattributed 2000.
 var syntheticTrace = []string{
-	`{"t_us":0,"dur_us":10000,"phase":"round","round":0}`,
+	`{"t_us":0,"dur_us":9000,"phase":"round","round":0}`,
 	`{"t_us":0,"dur_us":2000,"phase":"simulate","round":0}`,
 	`{"t_us":2000,"dur_us":7000,"phase":"estimate","round":0}`,
 	`{"t_us":3000,"dur_us":4000,"phase":"rpc:eval","round":0,"tid":10,"net_us":500}`,
 	`{"t_us":3500,"dur_us":2000,"phase":"remote:estimate","round":0,"proc":"evaluator 127.0.0.1:9001 (pid 42)","pid":2}`,
-	`{"t_us":8000,"dur_us":3000,"phase":"simulate","round":0,"tid":2}`,
 	`{"t_us":12000,"dur_us":8000,"phase":"round","round":1}`,
 	`{"t_us":12000,"dur_us":6000,"phase":"generate","round":1}`,
 }
@@ -60,8 +57,8 @@ func TestTimelineAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl := buildTimeline(spans)
-	if tl.spans != 8 || tl.remoteSpans != 1 {
-		t.Fatalf("spans=%d remote=%d, want 8/1", tl.spans, tl.remoteSpans)
+	if tl.spans != 7 || tl.remoteSpans != 1 {
+		t.Fatalf("spans=%d remote=%d, want 7/1", tl.spans, tl.remoteSpans)
 	}
 	if len(tl.procs) != 1 || !strings.Contains(tl.procs[0], "pid 42") {
 		t.Fatalf("procs = %v", tl.procs)
@@ -70,7 +67,7 @@ func TestTimelineAttribution(t *testing.T) {
 		t.Fatalf("rounds = %d, want 2", len(tl.rounds))
 	}
 	r0 := tl.byRound[0]
-	want := roundBreakdown{round: 0, wall: 10000, local: 5000, spec: 1000, remote: 2000, net: 500, queue: 1500}
+	want := roundBreakdown{round: 0, wall: 9000, local: 5000, remote: 2000, net: 500, queue: 1500}
 	if *r0 != want {
 		t.Errorf("round 0 = %+v, want %+v", *r0, want)
 	}

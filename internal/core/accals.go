@@ -97,16 +97,6 @@ type Options struct {
 	// The caches live in memory for the duration of one run; a resumed
 	// run's first round is a full generation.
 	Incremental bool
-	// Speculate enables speculative round pipelining: while a round
-	// measures its candidate sets, the predicted winner's circuit is
-	// simulated and its candidates generated on a background goroutine,
-	// so a correct prediction lets the next round skip straight to
-	// estimation. The trajectory is bit-identical with speculation on
-	// or off — every speculative artifact is a pure function of the
-	// inputs the normal path would use — so the switch only trades a
-	// background core for per-round latency. Unlike the plain
-	// simulation prefetch it also engages at Workers == 1.
-	Speculate bool
 	// Evaluators, when non-nil, farms candidate estimation out to the
 	// pool's external evaluator processes (accals -serve-eval),
 	// splitting each batch into per-evaluator slices plus a local
@@ -280,14 +270,34 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	rec.SetWorkers(runner.Workers())
 	genCfg.Workers = opt.Workers
 
+	// Work outside every phase — the round tail and the ledger's
+	// technology mapping — is not phase-histogram work, but it is
+	// wall-clock the merged timeline must account for: trace-only spans
+	// (Tracing-gated, so an untraced run pays nothing) keep
+	// `report -timeline`'s unattributed remainder honest.
+	tracing := rec.Tracing()
+
 	// The round ledger: with a sink attached, the run opens with a
 	// RunMeta, every round emits its full decision record, and the
 	// trajectory carries mapped area and logic depth. All of it is
 	// guarded by led so an unledgered run allocates no events and never
 	// invokes the technology mapper.
 	led := rec.Ledgering()
-	if led {
+	// mappedArea is the ledger's technology mapping of g, under a
+	// trace-only span.
+	mappedArea := func(round int, g *aig.Graph) float64 {
+		var t0 time.Time
+		if tracing {
+			t0 = time.Now()
+		}
 		area, _ := mapping.AreaDelay(g)
+		if tracing {
+			rec.EmitEvent(obs.TraceEvent{Name: "ledger-map", Round: round, Start: t0, Dur: time.Since(t0)})
+		}
+		return area
+	}
+	if led {
+		area := mappedArea(round0, g)
 		rec.EmitMeta(obs.RunMeta{
 			Method:       "accals",
 			Circuit:      orig.Name,
@@ -338,47 +348,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		}
 	}
 
-	// The speculative round pipeline: spec owns the background slot and
-	// its dedicated simulation runner, ready carries a hit across the
-	// round boundary (its simulation and candidate list are the next
-	// round's simulate and generate phases, precomputed). settle runs at
-	// each round's end: a hit adopts the speculative state — the forked
-	// generator replaces the original and the influence index rebases
-	// through the speculative delta, exactly mirroring noteApply — while
-	// a miss (or an unspeculated round) does the normal cache rebase and
-	// simulation prefetch. One rebase per round either way, always with
-	// the rebuild that actually produced gNew.
-	var spec *speculator
-	if opt.Speculate {
-		spec = &speculator{
-			runner: simulate.NewRunner(opt.Workers),
-			pats:   cmp.Patterns(),
-			genCfg: genCfg,
-			rec:    rec,
-		}
-	}
-	var ready *specRound
-	settle := func(round int, specSp *specRound, match bool, g, gNew *aig.Graph, am []aig.Lit, applied []*lac.LAC) bool {
-		if specSp != nil {
-			if sp := spec.resolve(match); sp != nil {
-				ready = sp
-				if gen != nil {
-					gen = sp.gen
-					if infl != nil && infl.g == g {
-						infl = infl.rebase(sp.delta)
-					} else {
-						infl = nil
-					}
-				}
-				rec.CountSpeculation(true)
-				return true
-			}
-			rec.CountSpeculation(false)
-		}
-		noteApply(g, gNew, am, applied)
-		return false
-	}
-
 	// measure evaluates a candidate LAC set's true error under the
 	// measure-phase span. Rather than building and fully resimulating
 	// the candidate circuit, the targets are overlaid on the round's
@@ -407,9 +376,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		if pend != nil {
 			<-pend.done
 			runner.Release(pend.res)
-		}
-		if spec != nil {
-			spec.shutdown(ready)
 		}
 	}()
 	startPrefetch := func(round int) {
@@ -456,18 +422,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		sp := rec.StartPhase(round, obs.PhaseSimulate)
 		var simRes *simulate.Result
 		var serr error
-		if ready != nil {
-			if ready.g == g {
-				// Speculation hit: the base simulation (and, below, the
-				// candidate list) were precomputed last round.
-				simRes = ready.res
-			} else {
-				// Defensive: a hit must have installed its circuit as
-				// this round's base; recycle a mismatched one.
-				spec.runner.Release(ready.res)
-				ready = nil
-			}
-		}
 		if pend != nil {
 			<-pend.done
 			if pend.g == g {
@@ -493,13 +447,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		rec.CountSimPatterns(patCount)
 
 		sp = rec.StartPhase(round, obs.PhaseGenerate)
-		var cands []*lac.LAC
-		if ready != nil {
-			cands = ready.cands
-			ready = nil
-		} else {
-			cands = generate(g, simRes)
-		}
+		cands := generate(g, simRes)
 		sp.End()
 		rs.Candidates = len(cands)
 		rec.CountCandidates(len(cands))
@@ -511,175 +459,76 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		opt.estimate(est, g, simRes, cmp, cands)
 		sortByDeltaE(cands)
 
+		var applied []*lac.LAC
 		if e > params.LE*errBound && !params.DisableImprovements {
 			// Improvement technique 1: single-LAC selection close to
 			// the error bound.
 			rec.GuardSingleLAC()
 			rs.GuardSingle = true
-			applied := cands[:1]
-			sp = rec.StartPhase(round, obs.PhaseApply)
-			var am []aig.Lit
-			gNew, am = lac.ApplyMapped(g, applied)
-			sp.End()
-			// The applied set is already final, so speculation here is a
-			// pure pipeline: the next round's simulate and generate
-			// overlap this round's measurement.
-			var specSp *specRound
-			if spec != nil && round+1 < params.MaxRounds {
-				specSp = spec.launch(g, applied, gNew, am, gen)
-				rs.Speculated = true
-			}
+			applied = cands[:1]
 			e = measure(round, g, simRes, applied)
-			if certEnabled && e <= errBound {
-				rs.CertRan = true
-				rs.Certified, rs.CertConflicts = certify(gNew)
-				result.CertConflicts += rs.CertConflicts
-			}
-			// Same trace-only round-tail spans as the multi-LAC path
-			// below, so timeline attribution stays honest on guard
-			// rounds too.
-			tracing := rec.Tracing()
-			var tailT0 time.Time
-			var measured []float64
-			if led {
-				if tracing {
-					tailT0 = time.Now()
-				}
-				measured = est.MeasureEach(g, simRes, cmp, applied, rec)
-				if tracing {
-					rec.EmitEvent(obs.TraceEvent{Name: "measure-each", Round: round, Start: tailT0, Dur: time.Since(tailT0)})
-				}
-			}
-			runner.Release(simRes)
-			if tracing {
-				tailT0 = time.Now()
-			}
-			rs.SpecHit = settle(round, specSp, true, g, gNew, am, applied)
-			if !rs.SpecHit {
-				startPrefetch(round)
-			}
-			if tracing {
-				rec.EmitEvent(obs.TraceEvent{Name: "rebase", Round: round, Start: tailT0, Dur: time.Since(tailT0)})
-			}
-			rs.AppliedLACs = 1
-			rs.Error = e
-			rs.EstimatedErr = estimatedError(eG, applied)
-			rs.NoProgress = noProgress
-			rs.RoundDuration = time.Since(roundStart)
-			roundSpan.End()
-			result.Rounds = append(result.Rounds, rs)
-			result.LACsApplied++
-			rec.CountApplied(1)
-			rec.EndRound(round, e, gNew.NumAnds(), noProgress, 1)
-			if led {
-				rec.EmitRound(ledgerRound(rs, gNew, errBound-eG, applied, measured))
-			}
-			emitProgress(opt.Progress, rs, gNew)
-			if rs.CertRan && !rs.Certified {
-				// The sampled error passed but the SAT proof did not
-				// (bound refuted on an unsampled input, or the conflict
-				// budget ran out): reject the round, keep the last
-				// certified circuit.
-				gNew, e = g, eG
-				reason = runctl.Uncertified
-				break
-			}
-			continue
-		}
-
-		rs.MultiRound = true
-		sp = rec.StartPhase(round, obs.PhaseConflictGraph)
-		lTop := obtainTopSet(cands, e, errBound, params.RRef)
-		rs.TopSize = len(lTop)
-		lSol, _, confEdges := findSolveLACConf(lTop)
-		sp.End()
-		rs.ConflictEdges = confEdges
-		rs.SolSize = len(lSol)
-		var lIndp, lRand []*lac.LAC
-		if !params.DisableIndp {
-			sp = rec.StartPhase(round, obs.PhaseMIS)
-			if infl == nil || infl.g != g {
-				infl = newInfluenceIndex(g)
-			}
-			var ist indpStats
-			lIndp, ist = selectIndpLACs(lSol, infl, e, errBound, params)
-			rs.InflPairs, rs.InflAbove, rs.MISSize = ist.pairs, ist.above, ist.misSize
+		} else {
+			rs.MultiRound = true
+			sp = rec.StartPhase(round, obs.PhaseConflictGraph)
+			lTop := obtainTopSet(cands, e, errBound, params.RRef)
+			rs.TopSize = len(lTop)
+			lSol, _, confEdges := findSolveLACConf(lTop)
 			sp.End()
-		}
-		if !params.DisableRandom {
-			lRand = selectRandomLACs(lSol, e, errBound, params, rng)
-		}
-		if lIndp == nil && lRand == nil {
-			// Both sets ablated away: degenerate to single selection.
-			lRand = lSol[:1]
-		}
-		rs.IndpSize = len(lIndp)
-		rs.RandSize = len(lRand)
+			rs.ConflictEdges = confEdges
+			rs.SolSize = len(lSol)
+			var lIndp, lRand []*lac.LAC
+			if !params.DisableIndp {
+				sp = rec.StartPhase(round, obs.PhaseMIS)
+				if infl == nil || infl.g != g {
+					infl = newInfluenceIndex(g)
+				}
+				var ist indpStats
+				lIndp, ist = selectIndpLACs(lSol, infl, e, errBound, params)
+				rs.InflPairs, rs.InflAbove, rs.MISSize = ist.pairs, ist.above, ist.misSize
+				sp.End()
+			}
+			if !params.DisableRandom {
+				lRand = selectRandomLACs(lSol, e, errBound, params, rng)
+			}
+			if lIndp == nil && lRand == nil {
+				// Both sets ablated away: degenerate to single selection.
+				lRand = lSol[:1]
+			}
+			rs.IndpSize = len(lIndp)
+			rs.RandSize = len(lRand)
 
-		// Speculation: predict the winner before measuring and pipeline
-		// the next round's front half against it. Single-set rounds are
-		// sure predictions; duels are predicted by the same comparison
-		// the duel makes, on estimated instead of measured errors.
-		var specSp *specRound
-		predIndp := false
-		if spec != nil && round+1 < params.MaxRounds {
 			switch {
 			case lIndp == nil:
-				specSp = spec.launch(g, lRand, nil, nil, gen)
+				applied = lRand
+				e = measure(round, g, simRes, applied)
 			case lRand == nil:
-				predIndp = true
-				specSp = spec.launch(g, lIndp, nil, nil, gen)
-			default:
-				predIndp = predictIndp(lIndp, lRand, eG)
-				if predIndp {
-					specSp = spec.launch(g, lIndp, nil, nil, gen)
-				} else {
-					specSp = spec.launch(g, lRand, nil, nil, gen)
-				}
-			}
-			rs.Speculated = true
-		}
-
-		var applied []*lac.LAC
-		switch {
-		case lIndp == nil:
-			applied = lRand
-			e = measure(round, g, simRes, applied)
-		case lRand == nil:
-			applied = lIndp
-			e = measure(round, g, simRes, applied)
-			rs.PickedIndp = true
-		default:
-			// The duel: measure both candidate sets concurrently on
-			// the shared base simulation. Only the winner's circuit is
-			// built — measurement needs the output vectors, not the
-			// rewritten graph.
-			var e1, e2 float64
-			par.Do(parallel,
-				func() { e1 = measure(round, g, simRes, lIndp) },
-				func() { e2 = measure(round, g, simRes, lRand) },
-			)
-			rs.HasDuel = true
-			rs.DuelIndpErr, rs.DuelRandErr = e1, e2
-			if e1 < e2 || (e1 == e2 && len(lIndp) >= len(lRand)) {
-				e, applied = e1, lIndp
+				applied = lIndp
+				e = measure(round, g, simRes, applied)
 				rs.PickedIndp = true
-			} else {
-				e, applied = e2, lRand
+			default:
+				// The duel: measure both candidate sets concurrently on
+				// the shared base simulation. Only the winner's circuit
+				// is built — measurement needs the output vectors, not
+				// the rewritten graph.
+				var e1, e2 float64
+				par.Do(parallel,
+					func() { e1 = measure(round, g, simRes, lIndp) },
+					func() { e2 = measure(round, g, simRes, lRand) },
+				)
+				rs.HasDuel = true
+				rs.DuelIndpErr, rs.DuelRandErr = e1, e2
+				if e1 < e2 || (e1 == e2 && len(lIndp) >= len(lRand)) {
+					e, applied = e1, lIndp
+					rs.PickedIndp = true
+				} else {
+					e, applied = e2, lRand
+				}
+				rec.DuelOutcome(rs.PickedIndp)
 			}
-			rec.DuelOutcome(rs.PickedIndp)
 		}
 		sp = rec.StartPhase(round, obs.PhaseApply)
-		match := specSp != nil && predIndp == rs.PickedIndp
 		var am []aig.Lit
-		if match {
-			// The predicted rebuild was already built at launch; adopting
-			// it (rather than an identical re-Apply) is what lines the
-			// forked generator's pointer identities up with next round.
-			gNew, am = specSp.g, specSp.am
-		} else {
-			gNew, am = lac.ApplyMapped(g, applied)
-		}
+		gNew, am = lac.ApplyMapped(g, applied)
 		sp.End()
 		rs.EstimatedErr = estimatedError(eG, applied)
 
@@ -689,7 +538,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		// same fallback fires when a multi-LAC set overshoots the
 		// error bound outright — terminating there would strand the
 		// remaining error budget on coarse-grained candidates.
-		if e > 0 && !params.DisableImprovements {
+		if rs.MultiRound && e > 0 && !params.DisableImprovements {
 			beta := (e - rs.EstimatedErr) / e
 			if beta > params.LD || (e > errBound && len(applied) > 1) {
 				rec.GuardNegativeRevert()
@@ -701,7 +550,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 				e = cmp.ErrorFromPOs(estimator.ResimulateWithSet(g, simRes, applied))
 				sp.End()
 				rec.CountSimPatterns(patCount)
-				match = false
 			}
 		}
 
@@ -716,21 +564,18 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		}
 
 		// Stagnation guard state: optimistic gain estimates can
-		// produce rounds that neither shrink the circuit nor move the
-		// error; a few such rounds in a row means convergence. The
-		// counter is updated before the stats are published so
-		// RoundStats.NoProgress explains an upcoming Stagnated stop.
-		if gNew.NumAnds() >= g.NumAnds() && e <= eG {
-			noProgress++
-		} else {
-			noProgress = 0
+		// produce multi-LAC rounds that neither shrink the circuit nor
+		// move the error; a few such rounds in a row means convergence.
+		// Guard-single rounds leave the counter alone. It is updated
+		// before the stats are published so RoundStats.NoProgress
+		// explains an upcoming Stagnated stop.
+		if rs.MultiRound {
+			if gNew.NumAnds() >= g.NumAnds() && e <= eG {
+				noProgress++
+			} else {
+				noProgress = 0
+			}
 		}
-		// The round-tail bookkeeping below is not phase-histogram work,
-		// but it is wall-clock the merged timeline must account for:
-		// trace-only spans (Tracing-gated, so an untraced run pays
-		// nothing) keep `report -timeline`'s unattributed remainder
-		// honest.
-		tracing := rec.Tracing()
 		var tailT0 time.Time
 		var measured []float64
 		if led {
@@ -744,16 +589,13 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		}
 		runner.Release(simRes)
 		// One rebase per round, with the rebuild that actually produced
-		// gNew: the revert above overwrites applied, am and the
-		// speculation match before the caches ever see the discarded
-		// multi-LAC rebuild.
+		// gNew: the revert above overwrites applied and am before the
+		// caches ever see the discarded multi-LAC rebuild.
 		if tracing {
 			tailT0 = time.Now()
 		}
-		rs.SpecHit = settle(round, specSp, match, g, gNew, am, applied)
-		if !rs.SpecHit {
-			startPrefetch(round)
-		}
+		noteApply(g, gNew, am, applied)
+		startPrefetch(round)
 		if tracing {
 			rec.EmitEvent(obs.TraceEvent{Name: "rebase", Round: round, Start: tailT0, Dur: time.Since(tailT0)})
 		}
@@ -767,10 +609,13 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		rec.CountApplied(len(applied))
 		rec.EndRound(round, e, gNew.NumAnds(), noProgress, len(applied))
 		if led {
-			rec.EmitRound(ledgerRound(rs, gNew, errBound-eG, applied, measured))
+			rec.EmitRound(ledgerRound(rs, gNew, mappedArea(round, gNew), errBound-eG, applied, measured))
 		}
 		emitProgress(opt.Progress, rs, gNew)
 		if rs.CertRan && !rs.Certified {
+			// The sampled error passed but the SAT proof did not (bound
+			// refuted on an unsampled input, or the conflict budget ran
+			// out): reject the round, keep the last certified circuit.
 			gNew, e = g, eG
 			reason = runctl.Uncertified
 			break
@@ -791,7 +636,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	result.Certified = certEnabled
 	result.Runtime = time.Since(start)
 	if led {
-		area, _ := mapping.AreaDelay(g)
+		area := mappedArea(-1, g)
 		rec.EmitFinish(obs.RunFinish{
 			StopReason:  reason.String(),
 			Rounds:      round0 + len(result.Rounds),
@@ -829,10 +674,10 @@ func certifyAgainst(cand, exact *aig.Graph, bound uint64, budget int64, rec *obs
 }
 
 // ledgerRound converts one completed round's statistics into the
-// ledger's event shape. Only called when a ledger sink is attached:
-// the area/depth trajectory columns invoke the technology mapper,
-// which the uninstrumented loop must never pay for.
-func ledgerRound(rs RoundStats, gNew *aig.Graph, budgetLeft float64, applied []*lac.LAC, measured []float64) obs.RoundEvent {
+// ledger's event shape, area being gNew's mapped area. Only called
+// when a ledger sink is attached: the area column needs the technology
+// mapper, which the uninstrumented loop must never pay for.
+func ledgerRound(rs RoundStats, gNew *aig.Graph, area, budgetLeft float64, applied []*lac.LAC, measured []float64) obs.RoundEvent {
 	ev := obs.RoundEvent{
 		Round:         rs.Round,
 		Candidates:    rs.Candidates,
@@ -850,16 +695,14 @@ func ledgerRound(rs RoundStats, gNew *aig.Graph, budgetLeft float64, applied []*
 		Multi:         rs.MultiRound,
 		GuardSingle:   rs.GuardSingle,
 		Reverted:      rs.Reverted,
-		Speculated:    rs.Speculated,
-		SpecHit:       rs.SpecHit,
 		EstErr:        rs.EstimatedErr,
 		Error:         rs.Error,
 		NumAnds:       gNew.NumAnds(),
+		Area:          area,
 		Depth:         gNew.Depth(),
 		NoProgress:    rs.NoProgress,
 		DurationUS:    rs.RoundDuration.Microseconds(),
 	}
-	ev.Area, _ = mapping.AreaDelay(gNew)
 	if rs.CertRan {
 		c := rs.Certified
 		ev.Certified = &c

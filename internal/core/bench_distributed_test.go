@@ -44,14 +44,13 @@ func startBenchEvaluators(tb testing.TB, n, workers int) []string {
 
 // benchDistRun runs the BenchmarkRoundParallel workload — ArrayMult(6),
 // ER bound 0.02, 8192 patterns, 8 rounds, so the rounds/s numbers are
-// directly comparable to BENCH_parallel.json — with speculation and an
-// optional evaluator pool layered on.
-func benchDistRun(tb testing.TB, workers int, speculate bool, addrs []string, rec *obs.Recorder) *Result {
+// directly comparable to BENCH_parallel.json — with an optional
+// evaluator pool layered on.
+func benchDistRun(tb testing.TB, workers int, addrs []string, rec *obs.Recorder) *Result {
 	g := circuits.ArrayMult(6)
 	opt := Options{
 		NumPatterns: 1 << 13,
 		Workers:     workers,
-		Speculate:   speculate,
 		Recorder:    rec,
 		Params:      Params{Seed: 5, MaxRounds: 8},
 	}
@@ -67,18 +66,15 @@ func benchDistRun(tb testing.TB, workers int, speculate bool, addrs []string, re
 }
 
 // BenchmarkRoundDistributed measures whole-flow round throughput with
-// speculative pipelining and remote evaluators layered onto the
-// workers=4 BenchmarkRoundParallel workload. Recorded figures live in
-// BENCH_distributed.json.
+// remote evaluators layered onto the workers=4 BenchmarkRoundParallel
+// workload.
 func BenchmarkRoundDistributed(b *testing.B) {
 	modes := []struct {
 		name       string
-		speculate  bool
 		evaluators int
 	}{
-		{"baseline", false, 0},
-		{"speculate", true, 0},
-		{"speculate+evaluators=4", true, 4},
+		{"baseline", 0},
+		{"evaluators=4", 4},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -90,7 +86,7 @@ func BenchmarkRoundDistributed(b *testing.B) {
 			rounds := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := benchDistRun(b, 4, m.speculate, addrs, nil)
+				res := benchDistRun(b, 4, addrs, nil)
 				rounds += len(res.Rounds)
 			}
 			b.ReportMetric(float64(rounds)/b.Elapsed().Seconds(), "rounds/s")
@@ -98,25 +94,23 @@ func BenchmarkRoundDistributed(b *testing.B) {
 	}
 }
 
-// TestDistributedBenchReport measures the distributed/speculative
-// scaling once per mode and writes a machine-readable report to
-// $BENCH_DISTRIBUTED_OUT (the CI eval-smoke job publishes it as
-// BENCH_distributed.json). Skipped when the variable is unset so
-// normal test runs stay fast.
+// TestDistributedBenchReport measures the distributed scaling once per
+// mode and writes a machine-readable report to $BENCH_DISTRIBUTED_OUT.
+// Skipped when the variable is unset so normal test runs stay fast.
 func TestDistributedBenchReport(t *testing.T) {
 	out := os.Getenv("BENCH_DISTRIBUTED_OUT")
 	if out == "" {
 		t.Skip("BENCH_DISTRIBUTED_OUT not set")
 	}
 	// Warm-up so no mode pays first-use costs.
-	benchDistRun(t, 4, true, nil, nil)
+	benchDistRun(t, 4, nil, nil)
 
 	const trials = 3
-	measure := func(speculate bool, addrs []string) (roundsPerSec float64, res *Result, sum obs.Summary) {
+	measure := func(addrs []string) (roundsPerSec float64, res *Result, sum obs.Summary) {
 		roundsPerSec = medianOf(trials, func() float64 {
 			rec := obs.NewRecorder()
 			t0 := time.Now()
-			res = benchDistRun(t, 4, speculate, addrs, rec)
+			res = benchDistRun(t, 4, addrs, rec)
 			dt := time.Since(t0).Seconds()
 			sum = rec.Summary()
 			return float64(len(res.Rounds)) / dt
@@ -125,32 +119,12 @@ func TestDistributedBenchReport(t *testing.T) {
 	}
 
 	report := map[string]any{}
-	baseRPS, baseRes, _ := measure(false, nil)
+	baseRPS, baseRes, _ := measure(nil)
 	report["baseline_workers=4"] = map[string]any{"rounds_per_sec": baseRPS, "rounds": len(baseRes.Rounds)}
 
-	specRPS, specRes, specSum := measure(true, nil)
-	launched, hits := 0, 0
-	for _, r := range specRes.Rounds {
-		if r.Speculated {
-			launched++
-		}
-		if r.SpecHit {
-			hits++
-		}
-	}
-	report["speculate_workers=4"] = map[string]any{
-		"rounds_per_sec":     specRPS,
-		"speedup":            specRPS / baseRPS,
-		"speculation_hits":   specSum.SpeculationHits,
-		"speculation_misses": specSum.SpeculationMisses,
-	}
-	if launched == 0 || hits == 0 {
-		t.Errorf("speculative run launched %d speculations with %d hits; the pipeline never engaged", launched, hits)
-	}
-
 	addrs := startBenchEvaluators(t, 4, 1)
-	distRPS, distRes, distSum := measure(true, addrs)
-	report["speculate_evaluators=4"] = map[string]any{
+	distRPS, distRes, distSum := measure(addrs)
+	report["evaluators=4"] = map[string]any{
 		"rounds_per_sec":          distRPS,
 		"speedup":                 distRPS / baseRPS,
 		"dispatch_remote_batches": distSum.DispatchRemoteBatches,
@@ -167,7 +141,7 @@ func TestDistributedBenchReport(t *testing.T) {
 	}
 
 	doc := map[string]any{
-		"note": "Distributed candidate evaluation + speculative round pipelining, layered on the BenchmarkRoundParallel workload (ArrayMult(6), ER bound 0.02, 8192 patterns, 8 rounds, workers=4) so rounds/s is directly comparable to BENCH_parallel.json. baseline = plain workers=4; speculate = next-round simulate+generate overlapped with the duel; speculate_evaluators=4 adds four in-process dispatch servers. On a single-CPU host the overlapped goroutine and the loopback RPCs only add contention and wire overhead — speedups below 1 are expected there and measure the overhead bound; the >= 1x pipelining win applies to multi-core runners (the ci eval-smoke and dispatch-race jobs exercise the same paths). All three modes are bit-identical in output; only timing differs.",
+		"note": "Distributed candidate evaluation layered on the BenchmarkRoundParallel workload (ArrayMult(6), ER bound 0.02, 8192 patterns, 8 rounds, workers=4) so rounds/s is directly comparable to BENCH_parallel.json. baseline = plain workers=4; evaluators=4 adds four in-process dispatch servers. On a host with few CPUs the loopback RPCs only add contention and wire overhead, so speedups below 1 measure the overhead bound there. Both modes are bit-identical in output; only timing differs.",
 		"host": map[string]any{
 			"goos":       runtime.GOOS,
 			"goarch":     runtime.GOARCH,

@@ -161,12 +161,6 @@ type RoundStats struct {
 	MultiRound  bool // false when the single-LAC fallback ran
 	GuardSingle bool // improvement technique 1 fired
 	Reverted    bool // improvement technique 2 fired
-	// Speculated marks rounds that launched the speculative next-round
-	// pipeline (Options.Speculate); SpecHit marks those whose predicted
-	// winner matched the final applied set, letting the next round start
-	// from the precomputed simulation and candidate list.
-	Speculated bool
-	SpecHit    bool
 	// CertRan marks rounds whose circuit went through SAT
 	// certification (MaxED runs whose measured error passed the
 	// bound); Certified is the verdict — a false verdict (bound

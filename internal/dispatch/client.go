@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -62,20 +61,17 @@ type Pool struct {
 	MinBatch int
 	// Timeout bounds one RPC round trip. Zero means the default (30s).
 	Timeout time.Duration
-	// TraceID, when non-empty, upgrades connections to protocol
-	// version 2: eval frames carry trace context and evaluators ship
-	// back per-batch telemetry spans. Set it before the first
-	// EstimateAll (only when tracing is on — the empty default keeps
-	// the version-1 wire bytes and the zero-cost hot path). An old
-	// evaluator that rejects version 2 downgrades that connection to
-	// version 1; results stay bit-identical either way.
+	// TraceID, when non-empty, is sent to every evaluator in the init
+	// frame: evaluators then ship back per-batch telemetry spans and
+	// the client traces each RPC. Set it before the first EstimateAll,
+	// and only when tracing is on — the empty default means untraced,
+	// which keeps both sides' hot paths free of telemetry work.
 	TraceID string
 
 	kind    errmetric.Kind
 	pats    *simulate.Patterns
 	refEnc  []byte
-	initEnc []byte
-	initV2  []byte // built on first traced EstimateAll
+	initEnc []byte // built on the first remote EstimateAll
 	inj     *faultinject.Injector
 	conns   []*evalConn
 
@@ -89,28 +85,16 @@ type Pool struct {
 // be nil. Connections are dialed lazily on first use and re-dialed
 // after failures, so a pool stays usable across evaluator restarts.
 func NewPool(addrs []string, kind errmetric.Kind, ref *aig.Graph, pats *simulate.Patterns, inj *faultinject.Injector) *Pool {
-	refEnc := ref.AppendBinary(nil)
 	p := &Pool{
-		kind:    kind,
-		pats:    pats,
-		refEnc:  refEnc,
-		initEnc: encodeInit(kind, refEnc, pats, ""),
-		inj:     inj,
+		kind:   kind,
+		pats:   pats,
+		refEnc: ref.AppendBinary(nil),
+		inj:    inj,
 	}
 	for i, a := range addrs {
 		p.conns = append(p.conns, &evalConn{addr: a, idx: i})
 	}
 	return p
-}
-
-// initFrame returns the init payload for the wanted protocol version.
-// The v2 frame is built once, on the round loop's goroutine (see
-// EstimateAll), never inside the per-connection goroutines.
-func (p *Pool) initFrame(v2 bool) []byte {
-	if !v2 {
-		return p.initEnc
-	}
-	return p.initV2
 }
 
 // Evaluators returns the number of configured evaluator processes.
@@ -142,8 +126,10 @@ func (p *Pool) EstimateAll(est *estimator.Estimator, g *aig.Graph, res *simulate
 	if len(p.conns) == 0 || n < minBatch*shares {
 		return localEval(est, g, res, cmp, lacs, exact, rec)
 	}
-	if p.TraceID != "" && p.initV2 == nil {
-		p.initV2 = encodeInit(p.kind, p.refEnc, p.pats, p.TraceID)
+	if p.initEnc == nil {
+		// Built once TraceID is final, on the round loop's goroutine,
+		// never inside the per-connection goroutines.
+		p.initEnc = encodeInit(p.kind, p.refEnc, p.pats, p.TraceID)
 	}
 	if p.epochG != g {
 		p.epoch++
@@ -206,10 +192,9 @@ type evalConn struct {
 	epoch  uint64
 	inited bool
 
-	// Trace state (meaningful only when the pool has a TraceID).
-	ver    byte     // negotiated protocol version, set by ensure
-	v1only bool     // sticky downgrade after a version reject
-	clk    clockMap // evaluator clock mapping, from the init handshake
+	// Trace state, from the init handshake (used only when the pool
+	// has a TraceID).
+	clk    clockMap // evaluator clock mapping
 	proc   string   // trace process label: "evaluator <addr> (pid N)"
 	spanID uint64   // parent span id of the next eval frame
 }
@@ -232,13 +217,8 @@ func (c *evalConn) evalSlice(p *Pool, slice []*lac.LAC, mode byte, rec *obs.Reco
 	if err := c.ensure(p, rec); err != nil {
 		return err
 	}
-	var payload []byte
-	if c.ver >= protoVersionTrace {
-		c.spanID++
-		payload = appendEvalTrace(encodeEval(p.epoch, mode, slice), rec.CurrentRound(), c.spanID)
-	} else {
-		payload = encodeEval(p.epoch, mode, slice)
-	}
+	c.spanID++
+	payload := encodeEval(p.epoch, mode, slice, rec.CurrentRound(), c.spanID)
 	typ, resp, err := c.roundTrip(p, frameEval, payload, rec)
 	if err != nil {
 		c.close()
@@ -248,7 +228,7 @@ func (c *evalConn) evalSlice(p *Pool, slice []*lac.LAC, mode byte, rec *obs.Reco
 		c.close()
 		return remoteErr(typ, resp)
 	}
-	deltas, tel, err := decodeResult(resp, len(slice), c.ver)
+	deltas, tel, err := decodeResult(resp, len(slice))
 	if err != nil {
 		c.close()
 		return err
@@ -282,10 +262,6 @@ func (c *evalConn) emitTelemetry(tel []remoteSpan, rec *obs.Recorder) {
 }
 
 // ensure dials, initialises and epoch-syncs the connection as needed.
-// When the pool carries a trace ID it offers protocol version 2; an
-// old evaluator's version reject downgrades the connection to version
-// 1 for its lifetime (redialing once), so mixed fleets keep working —
-// those evaluators just contribute no remote spans.
 func (c *evalConn) ensure(p *Pool, rec *obs.Recorder) error {
 	timeout := p.Timeout
 	if timeout <= 0 {
@@ -307,9 +283,8 @@ func (c *evalConn) ensure(p *Pool, rec *obs.Recorder) error {
 		c.epoch = 0
 	}
 	if !c.inited {
-		wantV2 := p.TraceID != "" && !c.v1only
 		t0 := time.Now()
-		typ, resp, err := c.roundTrip(p, frameInit, p.initFrame(wantV2), rec)
+		typ, resp, err := c.roundTrip(p, frameInit, p.initEnc, rec)
 		t1 := time.Now()
 		if err != nil {
 			c.close()
@@ -317,20 +292,14 @@ func (c *evalConn) ensure(p *Pool, rec *obs.Recorder) error {
 		}
 		if typ != frameOK {
 			c.close()
-			if wantV2 && typ == frameError && bytes.Contains(resp, []byte("protocol version")) {
-				c.v1only = true
-				return c.ensure(p, rec)
-			}
 			return remoteErr(typ, resp)
 		}
-		c.ver = protoVersion
-		if wantV2 {
-			nanos, pid, err := decodeInitOK(resp)
-			if err != nil {
-				c.close()
-				return err
-			}
-			c.ver = protoVersionTrace
+		nanos, pid, err := decodeInitOK(resp)
+		if err != nil {
+			c.close()
+			return err
+		}
+		if p.TraceID != "" {
 			c.clk = newClockMap(t0, t1, nanos)
 			c.proc = fmt.Sprintf("evaluator %s (pid %d)", c.addr, pid)
 		}

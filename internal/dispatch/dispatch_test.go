@@ -256,7 +256,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 
 	// Eval before init: error frame, then the server hangs up.
 	nc := dial()
-	writeFrame(nc, frameEval, encodeEval(1, modeFast, nil))
+	writeFrame(nc, frameEval, encodeEval(1, modeFast, nil, 0, 0))
 	typ, _, _, err := readFrame(nc)
 	if err != nil || typ != frameError {
 		t.Fatalf("eval-before-init: typ %d err %v, want error frame", typ, err)
@@ -321,7 +321,7 @@ func TestLACWireRoundTrip(t *testing.T) {
 	mk(lac.FnMux, 5, 6, 7)
 	mk(lac.FnMaj, 8, 9, 10)
 
-	epoch, mode, got, _, err := decodeEval(encodeEval(42, modeExact, lacs), protoVersion)
+	epoch, mode, got, _, err := decodeEval(encodeEval(42, modeExact, lacs, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,15 +350,15 @@ func TestEvalPayloadFuzz(t *testing.T) {
 	base := encodeEval(3, modeFast, []*lac.LAC{
 		{Target: 10, SNs: []int{2, 5}, Fn: lac.Fn{Kind: lac.FnAnd}},
 		{Target: 11, Fn: lac.Fn{Kind: lac.FnConst1}},
-	})
+	}, 4, 9)
 	for i := range base {
 		for _, x := range []byte{0x01, 0x55, 0xff} {
 			mut := append([]byte(nil), base...)
 			mut[i] ^= x
-			decodeEval(mut, protoVersion) // must not panic
+			decodeEval(mut) // must not panic
 		}
 	}
 	for n := 0; n < len(base); n++ {
-		decodeEval(base[:n], protoVersion)
+		decodeEval(base[:n])
 	}
 }

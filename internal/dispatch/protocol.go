@@ -18,12 +18,15 @@
 // 1-byte frame type, then the payload. The conversation per
 // connection:
 //
-//	client → init    version, metric kind, pattern words, reference circuit
-//	server → ok      (or error)
+//	client → init    version, metric kind, pattern words, reference
+//	                 circuit, trace id (empty when untraced)
+//	server → ok      evaluator clock reading + OS pid (or error)
 //	client → epoch   epoch id + current circuit        } once per circuit
 //	server → ok      (or error)                        } change, per conn
-//	client → eval    epoch id, mode (fast|exact), candidate slice
-//	server → result  one IEEE-754 bit pattern per candidate (or error)
+//	client → eval    epoch id, mode (fast|exact), candidate slice,
+//	                 round + parent span id
+//	server → result  one IEEE-754 bit pattern per candidate, then the
+//	                 evaluator's telemetry spans (or error)
 //
 // The server keeps exactly one decoded circuit per connection — the
 // latest epoch — simulates it once on arrival, and rejects eval
@@ -44,20 +47,17 @@ import (
 	"accals/internal/simulate"
 )
 
-// protoVersion is the baseline wire-protocol version carried by the
-// init frame. protoVersionTrace adds distributed-tracing context: the
-// init frame carries the run's trace ID and is answered with the
-// evaluator's monotonic clock reading + OS pid (the clock-offset
-// handshake), eval frames carry the round and a parent span ID, and
-// result frames append evaluator-side telemetry spans. A client only
-// offers version 2 when tracing is on; an old evaluator rejects the
-// version and the client falls back to version 1 for that connection
-// (results stay bit-identical — missing context just means no remote
-// spans).
-const (
-	protoVersion      = 1
-	protoVersionTrace = 2
-)
+// protoVersion is the wire-protocol version carried by the init
+// frame; an evaluator refuses any other. The client and the evaluator
+// ship in one binary, so there is exactly one version to speak. It
+// carries distributed-tracing context: the init frame carries the
+// run's trace ID and is answered with the evaluator's monotonic clock
+// reading + OS pid (the clock-offset handshake), eval frames carry the
+// round and a parent span ID, and result frames append evaluator-side
+// telemetry spans. An empty trace ID means the run is untraced: the
+// evaluator then records no telemetry and every result carries an
+// empty span list.
+const protoVersion = 2
 
 // Frame types.
 const (
@@ -120,18 +120,12 @@ func readFrame(r io.Reader) (byte, []byte, int, error) {
 }
 
 // encodeInit builds the init payload: protocol version, metric kind,
-// pattern set (PI count, pattern count, packed words per PI), and the
-// encoded reference circuit. A non-empty traceID selects protocol
-// version 2 and appends the trace ID; an empty one produces the exact
-// version-1 byte layout.
+// pattern set (PI count, pattern count, packed words per PI), the
+// encoded reference circuit and the run's trace ID ("" when untraced).
 func encodeInit(kind errmetric.Kind, ref []byte, p *simulate.Patterns, traceID string) []byte {
 	words := p.Words()
 	buf := make([]byte, 0, 16+p.NumPIs()*words*8+len(ref)+len(traceID))
-	ver := byte(protoVersion)
-	if traceID != "" {
-		ver = protoVersionTrace
-	}
-	buf = append(buf, ver, byte(kind))
+	buf = append(buf, protoVersion, byte(kind))
 	buf = binary.AppendUvarint(buf, uint64(p.NumPIs()))
 	buf = binary.AppendUvarint(buf, uint64(p.NumPatterns()))
 	for i := 0; i < p.NumPIs(); i++ {
@@ -142,11 +136,8 @@ func encodeInit(kind errmetric.Kind, ref []byte, p *simulate.Patterns, traceID s
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(ref)))
 	buf = append(buf, ref...)
-	if traceID != "" {
-		buf = binary.AppendUvarint(buf, uint64(len(traceID)))
-		buf = append(buf, traceID...)
-	}
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(len(traceID)))
+	return append(buf, traceID...)
 }
 
 // initReq is a decoded init frame.
@@ -154,7 +145,6 @@ type initReq struct {
 	kind    errmetric.Kind
 	ref     []byte
 	pats    *simulate.Patterns
-	ver     byte
 	traceID string
 }
 
@@ -162,8 +152,8 @@ func decodeInit(payload []byte) (initReq, error) {
 	d := wireDecoder{buf: payload}
 	ver := d.byte()
 	kind := errmetric.Kind(d.byte())
-	if d.err == nil && ver != protoVersion && ver != protoVersionTrace {
-		return initReq{}, fmt.Errorf("%w: protocol version %d, want %d", ErrProtocol, ver, protoVersionTrace)
+	if d.err == nil && ver != protoVersion {
+		return initReq{}, fmt.Errorf("%w: protocol version %d, want %d", ErrProtocol, ver, protoVersion)
 	}
 	if d.err == nil && kind == errmetric.MaxED {
 		// Remote evaluation only samples; it cannot carry the SAT
@@ -186,10 +176,7 @@ func decodeInit(payload []byte) (initReq, error) {
 		rows[i] = d.words(words)
 	}
 	ref := d.bytes()
-	var traceID string
-	if ver == protoVersionTrace {
-		traceID = string(d.bytes())
-	}
+	traceID := string(d.bytes())
 	if d.err != nil {
 		return initReq{}, d.err
 	}
@@ -200,12 +187,12 @@ func decodeInit(payload []byte) (initReq, error) {
 	if err != nil {
 		return initReq{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
-	return initReq{kind: kind, ref: ref, pats: p, ver: ver, traceID: traceID}, nil
+	return initReq{kind: kind, ref: ref, pats: p, traceID: traceID}, nil
 }
 
-// encodeInitOK builds the version-2 init acknowledgement: the
-// evaluator's monotonic clock reading (nanoseconds since its Serve
-// started) and its OS pid. Version-1 init acks carry no payload.
+// encodeInitOK builds the init acknowledgement: the evaluator's
+// monotonic clock reading (nanoseconds since its Serve started) and
+// its OS pid.
 func encodeInitOK(serverNanos int64, pid int) []byte {
 	buf := make([]byte, 0, 16)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(serverNanos))
@@ -259,9 +246,11 @@ func snCount(k lac.FnKind) int {
 
 // encodeEval builds the eval payload: epoch id, mode, candidate count,
 // then per candidate the target id, one packed function byte (kind in
-// the low 3 bits, then C0/C1/C2/OutC flags) and the substitute nodes.
-func encodeEval(epoch uint64, mode byte, lacs []*lac.LAC) []byte {
-	buf := make([]byte, 0, 16+8*len(lacs))
+// the low 3 bits, then C0/C1/C2/OutC flags) and the substitute nodes,
+// then the trace context: the round (-1 when unknown, encoded as 0)
+// and the client-side parent span ID.
+func encodeEval(epoch uint64, mode byte, lacs []*lac.LAC, round int, spanID uint64) []byte {
+	buf := make([]byte, 0, 32+8*len(lacs))
 	buf = binary.AppendUvarint(buf, epoch)
 	buf = append(buf, mode)
 	buf = binary.AppendUvarint(buf, uint64(len(lacs)))
@@ -285,28 +274,20 @@ func encodeEval(epoch uint64, mode byte, lacs []*lac.LAC) []byte {
 			buf = binary.AppendUvarint(buf, uint64(sn))
 		}
 	}
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(round+1))
+	return binary.AppendUvarint(buf, spanID)
 }
 
-// evalTrace is the trace context a version-2 eval frame carries: the
-// synthesis round the batch belongs to (-1 when unknown) and the
-// client-side parent span ID.
+// evalTrace is the trace context an eval frame carries: the synthesis
+// round the batch belongs to (-1 when unknown) and the client-side
+// parent span ID.
 type evalTrace struct {
 	round  int
 	spanID uint64
 }
 
-// appendEvalTrace appends the version-2 trace-context suffix to an
-// encoded eval payload. Round -1 (unknown) encodes as 0.
-func appendEvalTrace(buf []byte, round int, spanID uint64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(round+1))
-	return binary.AppendUvarint(buf, spanID)
-}
-
-// decodeEval decodes an eval payload at the session's negotiated
-// protocol version. Version 1 frames yield a zero evalTrace with
-// round -1.
-func decodeEval(payload []byte, ver byte) (uint64, byte, []*lac.LAC, evalTrace, error) {
+// decodeEval decodes an eval payload.
+func decodeEval(payload []byte) (uint64, byte, []*lac.LAC, evalTrace, error) {
 	tr := evalTrace{round: -1}
 	d := wireDecoder{buf: payload}
 	epoch := d.uvarint()
@@ -348,10 +329,8 @@ func decodeEval(payload []byte, ver byte) (uint64, byte, []*lac.LAC, evalTrace, 
 		}
 		lacs = append(lacs, &lac.LAC{Target: target, SNs: sns, Fn: fn})
 	}
-	if ver >= protoVersionTrace {
-		tr.round = int(d.uvarint()) - 1
-		tr.spanID = d.uvarint()
-	}
+	tr.round = int(d.uvarint()) - 1
+	tr.spanID = d.uvarint()
 	if d.err != nil {
 		return 0, 0, nil, tr, d.err
 	}
@@ -361,10 +340,10 @@ func decodeEval(payload []byte, ver byte) (uint64, byte, []*lac.LAC, evalTrace, 
 	return epoch, mode, lacs, tr, nil
 }
 
-// encodeResult builds the result payload: one Float64bits per
-// candidate, in slice order.
+// encodeResult builds the head of a result payload: one Float64bits
+// per candidate, in slice order. appendResultTrace completes it.
 func encodeResult(deltas []float64) []byte {
-	buf := make([]byte, 0, 10+8*len(deltas))
+	buf := make([]byte, 0, 11+8*len(deltas))
 	buf = binary.AppendUvarint(buf, uint64(len(deltas)))
 	for _, v := range deltas {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
@@ -414,8 +393,9 @@ type remoteSpan struct {
 // maxTelemetry bounds the telemetry span count in one result frame.
 const maxTelemetry = 1 << 16
 
-// appendResultTrace appends the version-2 telemetry suffix to an
-// encoded result payload.
+// appendResultTrace appends the evaluator's telemetry spans to an
+// encoded result head, completing the payload. An untraced session
+// sends none: a single zero count byte.
 func appendResultTrace(buf []byte, tel []remoteSpan) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(tel)))
 	for _, s := range tel {
@@ -428,10 +408,8 @@ func appendResultTrace(buf []byte, tel []remoteSpan) []byte {
 	return buf
 }
 
-// decodeResult decodes a result payload at the session's negotiated
-// protocol version; version 2 results carry telemetry spans after the
-// deltas.
-func decodeResult(payload []byte, want int, ver byte) ([]float64, []remoteSpan, error) {
+// decodeResult decodes a result payload carrying want deltas.
+func decodeResult(payload []byte, want int) ([]float64, []remoteSpan, error) {
 	d := wireDecoder{buf: payload}
 	n := int(d.uvarint())
 	if d.err != nil {
@@ -445,23 +423,21 @@ func decodeResult(payload []byte, want int, ver byte) ([]float64, []remoteSpan, 
 		out[i] = math.Float64frombits(d.u64())
 	}
 	var tel []remoteSpan
-	if ver >= protoVersionTrace {
-		k := int(d.uvarint())
-		if d.err == nil && (k < 0 || k > maxTelemetry) {
-			return nil, nil, fmt.Errorf("%w: telemetry span count %d out of range", ErrProtocol, k)
-		}
-		if d.err == nil && k > 0 {
-			tel = make([]remoteSpan, 0, k)
-			for i := 0; i < k; i++ {
-				sp := remoteSpan{
-					stage:  d.byte(),
-					round:  int(d.uvarint()) - 1,
-					parent: d.uvarint(),
-					start:  int64(d.uvarint()),
-					dur:    int64(d.uvarint()),
-				}
-				tel = append(tel, sp)
+	k := int(d.uvarint())
+	if d.err == nil && (k < 0 || k > maxTelemetry) {
+		return nil, nil, fmt.Errorf("%w: telemetry span count %d out of range", ErrProtocol, k)
+	}
+	if d.err == nil && k > 0 {
+		tel = make([]remoteSpan, 0, k)
+		for i := 0; i < k; i++ {
+			sp := remoteSpan{
+				stage:  d.byte(),
+				round:  int(d.uvarint()) - 1,
+				parent: d.uvarint(),
+				start:  int64(d.uvarint()),
+				dur:    int64(d.uvarint()),
 			}
+			tel = append(tel, sp)
 		}
 	}
 	if d.err != nil {

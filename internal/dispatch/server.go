@@ -24,12 +24,6 @@ import (
 type Server struct {
 	Workers int
 
-	// legacyV1 makes the server behave like a pre-trace build: it
-	// rejects any init above protocol version 1 and never records
-	// telemetry. Test-only — it pins the old-evaluator interop path
-	// without keeping an old binary around.
-	legacyV1 bool
-
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 	start time.Time // monotonic base of telemetry timestamps
@@ -104,8 +98,11 @@ func (s *Server) session(nc net.Conn) {
 		g      *aig.Graph
 		res    *simulate.Result
 
-		ver byte = protoVersion
-		tel []remoteSpan // telemetry pending until the next result frame
+		// traced is set when the init carried a trace ID; only then
+		// does the session record telemetry, so an untraced session
+		// allocates nothing for it.
+		traced bool
+		tel    []remoteSpan // telemetry pending until the next result frame
 	)
 	// now reads the evaluator's monotonic clock — the time base the
 	// init handshake exports to the client.
@@ -114,7 +111,7 @@ func (s *Server) session(nc net.Conn) {
 	// unknown until an eval frame supplies the trace context, so
 	// pending spans are stamped retroactively there.
 	span := func(stage byte, start int64) {
-		if ver >= protoVersionTrace && len(tel) < maxTelemetry-1 {
+		if traced && len(tel) < maxTelemetry-1 {
 			tel = append(tel, remoteSpan{stage: stage, round: -1, start: start, dur: now() - start})
 		}
 	}
@@ -140,10 +137,6 @@ func (s *Server) session(nc net.Conn) {
 				fail(err)
 				return
 			}
-			if s.legacyV1 && req.ver != protoVersion {
-				fail(fmt.Errorf("%w: protocol version %d, want %d", ErrProtocol, req.ver, protoVersion))
-				return
-			}
 			ref, err := aig.DecodeBinary(req.ref)
 			if err != nil {
 				fail(err)
@@ -158,16 +151,12 @@ func (s *Server) session(nc net.Conn) {
 			est = estimator.New(s.Workers)
 			runner = simulate.NewRunner(s.Workers)
 			epoch, g, res = 0, nil, nil
-			ver, tel = req.ver, nil
+			traced, tel = req.traceID != "", nil
 			span(stageFrameDecode, t0)
-			var ack []byte
-			if ver >= protoVersionTrace {
-				// Clock-offset handshake: ship our monotonic reading
-				// and OS pid so the client can place our spans on its
-				// timeline and label our process lane.
-				ack = encodeInitOK(now(), os.Getpid())
-			}
-			if !reply(frameOK, ack) {
+			// Clock-offset handshake: ship our monotonic reading and OS
+			// pid so the client can place our spans on its timeline and
+			// label our process lane.
+			if !reply(frameOK, encodeInitOK(now(), os.Getpid())) {
 				return
 			}
 
@@ -207,7 +196,7 @@ func (s *Server) session(nc net.Conn) {
 				return
 			}
 			t0 := now()
-			id, mode, lacs, tr, err := decodeEval(payload, ver)
+			id, mode, lacs, tr, err := decodeEval(payload)
 			if err != nil {
 				fail(err)
 				return
@@ -240,14 +229,14 @@ func (s *Server) session(nc net.Conn) {
 			span(stageEstimate, t1)
 			t2 := now()
 			out := encodeResult(deltas)
-			if ver >= protoVersionTrace {
+			if traced {
 				tel = append(tel, remoteSpan{
 					stage: stageEncode, round: tr.round, parent: tr.spanID,
 					start: t2, dur: now() - t2,
 				})
-				out = appendResultTrace(out, tel)
-				tel = tel[:0]
 			}
+			out = appendResultTrace(out, tel)
+			tel = tel[:0]
 			if !reply(frameResult, out) {
 				return
 			}

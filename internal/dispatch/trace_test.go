@@ -38,56 +38,6 @@ func startServerCfg(t *testing.T, srv *Server) string {
 	return ln.Addr().String()
 }
 
-// TestProtocolCompatLegacyEvaluator pins the mixed-fleet interop
-// contract: a tracing client against a pre-trace evaluator downgrades
-// the connection to protocol version 1 (sticky, one redial) and stays
-// bit-identical to local evaluation — it just contributes no remote
-// spans.
-func TestProtocolCompatLegacyEvaluator(t *testing.T) {
-	addr := startServerCfg(t, &Server{Workers: 1, legacyV1: true})
-	g := circuits.ArrayMult(4)
-	kind := errmetric.ER
-	p, res, cmp, cands := setup(t, g, kind)
-	est := estimator.New(1)
-	want := localEval(est, g, res, cmp, cands, false, nil)
-	wantD := snapshot(cands)
-
-	rec := obs.NewRecorder()
-	var trace bytes.Buffer
-	rec.AddTracer(obs.NewTracer(&trace, obs.TraceJSONL))
-
-	pool := NewPool([]string{addr, addr}, kind, g, p, nil)
-	pool.MinBatch = 1
-	pool.TraceID = rec.TraceID()
-	defer pool.Close()
-
-	for round := 0; round < 3; round++ {
-		rec.BeginRound(round)
-		clear(cands)
-		got := pool.EstimateAll(est, g, res, cmp, cands, false, rec)
-		if got != want {
-			t.Fatalf("round %d: current error %v, want %v", round, got, want)
-		}
-		for i := range cands {
-			if cands[i].DeltaE != wantD[i] {
-				t.Fatalf("round %d cand %d: DeltaE %v, want %v", round, i, cands[i].DeltaE, wantD[i])
-			}
-		}
-	}
-	for i, c := range pool.conns {
-		if !c.v1only || c.ver != protoVersion {
-			t.Errorf("conn %d: v1only=%v ver=%d, want sticky v1 downgrade", i, c.v1only, c.ver)
-		}
-	}
-	if sum := rec.Summary(); sum.RemoteSpans != 0 {
-		t.Errorf("legacy evaluator produced %d remote spans, want 0", sum.RemoteSpans)
-	}
-	// The rpc lane still traces the local view of each round trip.
-	if !strings.Contains(trace.String(), `"rpc:eval"`) {
-		t.Errorf("trace missing rpc:eval spans:\n%s", trace.String())
-	}
-}
-
 // TestRemoteTelemetryEndToEnd runs a traced pool against a current
 // server and checks the evaluator's spans land on the merged timeline:
 // counted in the summary, clock-mapped into the run's local time
@@ -240,57 +190,63 @@ func grepMetric(text, name string) string {
 	return strings.Join(out, "\n")
 }
 
-// TestInitCodecVersions pins the version-gated init layout: an empty
-// trace ID produces the exact version-1 bytes, a trace ID selects
-// version 2 and round-trips, and unknown versions are rejected with
-// the error the client's downgrade sniffs for.
+// truncations asserts every strict prefix of a valid payload fails
+// to decode rather than misreading it.
+func truncations(t *testing.T, name string, payload []byte, decode func([]byte) error) {
+	t.Helper()
+	for n := 0; n < len(payload); n++ {
+		if decode(payload[:n]) == nil {
+			t.Fatalf("%s truncated to %d of %d bytes decoded without error", name, n, len(payload))
+		}
+	}
+	if decode(append(append([]byte(nil), payload...), 0)) == nil {
+		t.Fatalf("%s with a trailing byte decoded without error", name)
+	}
+}
+
+// TestInitCodecVersions pins the init layout: traced and untraced frames
+// round-trip, truncation and trailing bytes fail, and every protocol
+// version but the one this build speaks is rejected.
 func TestInitCodecVersions(t *testing.T) {
 	g := circuits.RCA(4)
 	p, _, _, _ := setup(t, g, errmetric.ER)
 	ref := g.AppendBinary(nil)
 
-	v1 := encodeInit(errmetric.ER, ref, p, "")
-	if v1[0] != protoVersion {
-		t.Fatalf("v1 version byte %d", v1[0])
-	}
-	req, err := decodeInit(v1)
-	if err != nil || req.ver != protoVersion || req.traceID != "" {
-		t.Fatalf("v1 decode: ver %d traceID %q err %v", req.ver, req.traceID, err)
-	}
-
-	v2 := encodeInit(errmetric.ER, ref, p, "0123456789abcdef")
-	if v2[0] != protoVersionTrace {
-		t.Fatalf("v2 version byte %d", v2[0])
-	}
-	if !bytes.Equal(v2[1:len(v1)], v1[1:]) {
-		t.Fatal("v2 must extend the v1 layout, not reshape it")
-	}
-	req, err = decodeInit(v2)
-	if err != nil || req.ver != protoVersionTrace || req.traceID != "0123456789abcdef" {
-		t.Fatalf("v2 decode: ver %d traceID %q err %v", req.ver, req.traceID, err)
-	}
-	if !bytes.Equal(req.ref, ref) {
-		t.Fatal("v2 reference circuit mangled")
+	for _, traceID := range []string{"", "0123456789abcdef"} {
+		payload := encodeInit(errmetric.ER, ref, p, traceID)
+		req, err := decodeInit(payload)
+		if err != nil || req.kind != errmetric.ER || req.traceID != traceID {
+			t.Fatalf("trace id %q: kind %v traceID %q err %v", traceID, req.kind, req.traceID, err)
+		}
+		if !bytes.Equal(req.ref, ref) {
+			t.Fatalf("trace id %q: reference circuit mangled", traceID)
+		}
+		if req.pats.NumPIs() != p.NumPIs() || req.pats.NumPatterns() != p.NumPatterns() {
+			t.Fatalf("trace id %q: pattern set %dx%d, want %dx%d", traceID,
+				req.pats.NumPIs(), req.pats.NumPatterns(), p.NumPIs(), p.NumPatterns())
+		}
+		truncations(t, "init", payload, func(b []byte) error { _, err := decodeInit(b); return err })
 	}
 
-	bad := append([]byte(nil), v1...)
-	bad[0] = 9
-	if _, err := decodeInit(bad); err == nil || !strings.Contains(err.Error(), "protocol version") {
-		t.Fatalf("version 9 error = %v, want protocol version reject", err)
+	bad := encodeInit(errmetric.ER, ref, p, "")
+	for v := 0; v < 256; v++ {
+		if v == protoVersion {
+			continue
+		}
+		bad[0] = byte(v)
+		if _, err := decodeInit(bad); err == nil || !strings.Contains(err.Error(), "protocol version") {
+			t.Fatalf("version %d error = %v, want protocol version reject", v, err)
+		}
 	}
 }
 
 func TestInitOKCodec(t *testing.T) {
-	nanos, pid, err := decodeInitOK(encodeInitOK(123456789012, 4242))
+	payload := encodeInitOK(123456789012, 4242)
+	nanos, pid, err := decodeInitOK(payload)
 	if err != nil || nanos != 123456789012 || pid != 4242 {
 		t.Fatalf("got %d/%d/%v", nanos, pid, err)
 	}
-	if _, _, err := decodeInitOK([]byte{1, 2, 3}); err == nil {
-		t.Fatal("truncated init ack must fail")
-	}
-	if _, _, err := decodeInitOK(append(encodeInitOK(1, 2), 0)); err == nil {
-		t.Fatal("trailing bytes in init ack must fail")
-	}
+	truncations(t, "init ack", payload, func(b []byte) error { _, _, err := decodeInitOK(b); return err })
 }
 
 func TestEvalTraceCodec(t *testing.T) {
@@ -298,33 +254,17 @@ func TestEvalTraceCodec(t *testing.T) {
 		{Target: 10, SNs: []int{2, 5}, Fn: lac.Fn{Kind: lac.FnAnd}},
 		{Target: 11, Fn: lac.Fn{Kind: lac.FnConst1}},
 	}
-	base := encodeEval(7, modeFast, lacs)
-
-	// v1 payload at v1: no context, round unknown.
-	_, _, _, tr, err := decodeEval(base, protoVersion)
-	if err != nil || tr.round != -1 || tr.spanID != 0 {
-		t.Fatalf("v1: tr %+v err %v", tr, err)
-	}
-	// v2 payload at v2: context round-trips, including round -1 → 0.
+	// The trace context round-trips, including round -1 (unknown).
 	for _, round := range []int{-1, 0, 12} {
-		p2 := appendEvalTrace(append([]byte(nil), base...), round, 99)
-		epoch, mode, got, tr, err := decodeEval(p2, protoVersionTrace)
+		payload := encodeEval(7, modeFast, lacs, round, 99)
+		epoch, mode, got, tr, err := decodeEval(payload)
 		if err != nil || epoch != 7 || mode != modeFast || len(got) != 2 {
-			t.Fatalf("v2 round %d: epoch %d mode %d n %d err %v", round, epoch, mode, len(got), err)
+			t.Fatalf("round %d: epoch %d mode %d n %d err %v", round, epoch, mode, len(got), err)
 		}
 		if tr.round != round || tr.spanID != 99 {
-			t.Fatalf("v2 round %d: tr %+v", round, tr)
+			t.Fatalf("round %d: tr %+v", round, tr)
 		}
-	}
-	// v2 payload at v1: the suffix is trailing garbage to an old
-	// decoder — it must refuse, not misread.
-	p2 := appendEvalTrace(append([]byte(nil), base...), 3, 99)
-	if _, _, _, _, err := decodeEval(p2, protoVersion); err == nil {
-		t.Fatal("v2 suffix must not pass a v1 decoder")
-	}
-	// v2 decoder on a bare v1 payload: context is mandatory at v2.
-	if _, _, _, _, err := decodeEval(base, protoVersionTrace); err == nil {
-		t.Fatal("missing v2 suffix must fail at v2")
+		truncations(t, "eval", payload, func(b []byte) error { _, _, _, _, err := decodeEval(b); return err })
 	}
 }
 
@@ -336,7 +276,7 @@ func TestResultTraceCodec(t *testing.T) {
 		{stage: stageEncode, round: 3, parent: 9, start: 160, dur: 1},
 	}
 	payload := appendResultTrace(encodeResult(deltas), tel)
-	got, gotTel, err := decodeResult(payload, 3, protoVersionTrace)
+	got, gotTel, err := decodeResult(payload, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,14 +293,54 @@ func TestResultTraceCodec(t *testing.T) {
 			t.Fatalf("span %d: %+v != %+v", i, gotTel[i], tel[i])
 		}
 	}
-	// v1 result at v1 still decodes with no telemetry.
-	v1got, v1tel, err := decodeResult(encodeResult(deltas), 3, protoVersion)
-	if err != nil || v1tel != nil || len(v1got) != 3 {
-		t.Fatalf("v1: %v / %v / %v", v1got, v1tel, err)
+	truncations(t, "result", payload, func(b []byte) error { _, _, err := decodeResult(b, 3); return err })
+
+	// An untraced result ends in an empty telemetry list: one zero
+	// byte, and valid.
+	untraced := appendResultTrace(encodeResult(deltas), nil)
+	if got, tel, err := decodeResult(untraced, 3); err != nil || len(got) != 3 || tel != nil {
+		t.Fatalf("untraced: %v / %v / %v", got, tel, err)
 	}
-	// An empty telemetry list is one zero byte, and valid.
-	if _, tel, err := decodeResult(appendResultTrace(encodeResult(deltas), nil), 3, protoVersionTrace); err != nil || len(tel) != 0 {
-		t.Fatalf("empty telemetry: %v / %v", tel, err)
+	truncations(t, "untraced result", untraced, func(b []byte) error { _, _, err := decodeResult(b, 3); return err })
+	if _, _, err := decodeResult(untraced, 2); err == nil {
+		t.Fatal("result with the wrong candidate count decoded without error")
+	}
+}
+
+// TestUntracedSessionRecordsNoTelemetry: a pool without a trace ID
+// gets bit-identical results and no remote spans — the evaluator
+// records telemetry only when the init carried a trace ID.
+func TestUntracedSessionRecordsNoTelemetry(t *testing.T) {
+	addr := startServer(t, 1)
+	g := circuits.ArrayMult(4)
+	kind := errmetric.ER
+	p, res, cmp, cands := setup(t, g, kind)
+	est := estimator.New(1)
+	want := localEval(est, g, res, cmp, cands, false, nil)
+	wantD := snapshot(cands)
+
+	rec := obs.NewRecorder()
+	pool := NewPool([]string{addr, addr}, kind, g, p, nil)
+	pool.MinBatch = 1
+	defer pool.Close()
+	for round := 0; round < 2; round++ {
+		rec.BeginRound(round)
+		clear(cands)
+		if got := pool.EstimateAll(est, g, res, cmp, cands, false, rec); got != want {
+			t.Fatalf("round %d: current error %v, want %v", round, got, want)
+		}
+		for i := range cands {
+			if cands[i].DeltaE != wantD[i] {
+				t.Fatalf("round %d cand %d: DeltaE %v, want %v", round, i, cands[i].DeltaE, wantD[i])
+			}
+		}
+	}
+	sum := rec.Summary()
+	if sum.DispatchRemoteBatches == 0 {
+		t.Fatal("no batch went remote; the session was never exercised")
+	}
+	if sum.RemoteSpans != 0 {
+		t.Errorf("untraced sessions produced %d remote spans, want 0", sum.RemoteSpans)
 	}
 }
 

@@ -84,21 +84,6 @@ func (gen *Generator) NoteApply(delta *aig.Delta, applied []*LAC) {
 	gen.applied = append([]*LAC(nil), applied...)
 }
 
-// Fork returns an independent Generator sharing this one's cache
-// snapshot. A stored snapshot is never mutated in place — store
-// installs all-fresh slices and Generate's remap copies cached
-// candidates instead of handing them out — so the fork and the
-// original can Generate concurrently from the same previous-round
-// state, each installing its own next snapshot. The speculative round
-// pipeline forks the generator to produce the predicted next round's
-// candidates while the current round is still measuring: on a
-// misprediction the fork is dropped and the original's cache is
-// untouched.
-func (gen *Generator) Fork() *Generator {
-	c := *gen
-	return &c
-}
-
 // Generate returns the candidate LACs of g exactly as package-level
 // Generate would, serving clean targets from the previous round's cache
 // when NoteApply connected the two graphs. rec (nil-safe) receives the

@@ -136,22 +136,6 @@ func (t *Trajectory) EstimatorAccuracy() EstimatorAccuracy {
 	return acc
 }
 
-// Speculation tallies the speculative round pipeline over the
-// trajectory: how many rounds launched a next-round speculation and
-// how many of those predicted the final applied set correctly (so the
-// next round started from precomputed state).
-func (t *Trajectory) Speculation() (launched, hits int) {
-	for _, r := range t.Rounds {
-		if r.Speculated {
-			launched++
-			if r.SpecHit {
-				hits++
-			}
-		}
-	}
-	return launched, hits
-}
-
 // Certification tallies the SAT-certified rounds of a maximum-error
 // run: attempts is the number of rounds that went through
 // certification, certified those whose bound was proved, and

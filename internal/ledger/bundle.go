@@ -44,7 +44,6 @@ type Manifest struct {
 	Patterns    int     `json:"patterns,omitempty"`
 	Workers     int     `json:"workers,omitempty"`
 	Incremental bool    `json:"incremental,omitempty"`
-	Speculate   bool    `json:"speculate,omitempty"`
 	// Evaluators counts the remote evaluator processes the run farmed
 	// candidate estimation to (0 = purely local evaluation).
 	Evaluators int `json:"evaluators,omitempty"`

@@ -41,8 +41,11 @@ const (
 	SchemaMajor = 1
 	// SchemaMinor 1 added the speculative-pipelining round fields
 	// (speculated, spec_hit), both omitempty: 1.0 ledgers decode
-	// unchanged. SchemaMinor 2 added the SAT-certification round
-	// fields (certified, cert_conflicts), also omitempty.
+	// unchanged. Speculation has since been removed, so the 1.1 fields
+	// are no longer written, but ledgers carrying them still decode
+	// (unknown fields are ignored). SchemaMinor 2 added the
+	// SAT-certification round fields (certified, cert_conflicts), also
+	// omitempty.
 	SchemaMinor = 2
 )
 

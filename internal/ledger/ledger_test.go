@@ -31,7 +31,6 @@ func goldenEvents(w *Writer) {
 		ConflictNodes: 10, ConflictEdges: 4, SolSize: 6,
 		InflPairs: 15, InflAbove: 5, MISSize: 4, IndpSize: 3, RandSize: 2,
 		DuelIndpErr: &i, DuelRandErr: &r, PickedIndp: true, Multi: true,
-		Speculated: true, SpecHit: true,
 		Applied: []obs.AppliedLAC{{Target: 7, Gain: 2, DeltaE: 0.005, MeasuredErr: 0.006}},
 		EstErr:  0.008, Error: 0.01, NumAnds: 95, Area: 200, Depth: 11,
 		DurationUS: 1500,
@@ -118,9 +117,6 @@ func TestGoldenRoundTrip(t *testing.T) {
 	if single, reverts := tr.Guards(); single != 1 || reverts != 1 {
 		t.Errorf("Guards = (%d, %d), want (1, 1)", single, reverts)
 	}
-	if launched, hits := tr.Speculation(); launched != 1 || hits != 1 {
-		t.Errorf("Speculation = (%d, %d), want (1, 1)", launched, hits)
-	}
 	acc := tr.EstimatorAccuracy()
 	if acc.Rounds != 3 || acc.MaxRound != 2 {
 		t.Errorf("EstimatorAccuracy = %+v, want 3 rounds with max at round 2", acc)
@@ -130,6 +126,46 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 	if tr.FinalError() != 0.045 {
 		t.Errorf("FinalError = %v, want 0.045", tr.FinalError())
+	}
+}
+
+// legacyBundle is a bundle written before speculative pipelining was
+// removed: its ledger's first round carries the schema-1.1 speculated
+// and spec_hit fields, its manifest speculate and evaluators, and its
+// trace a speculation-lane span.
+var legacyBundle = filepath.Join("testdata", "legacy-speculate")
+
+// TestLegacyBundleDecodes: fields the writer no longer emits must not
+// stop an old bundle from decoding and analysing.
+func TestLegacyBundleDecodes(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join(legacyBundle, LedgerFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"speculated":true,"spec_hit":true`)) {
+		t.Fatal("legacy fixture lost its schema-1.1 round fields")
+	}
+	events, err := Decode(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Analyze(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Rounds) != 3 || tr.Finish == nil || tr.Finish.StopReason != "bounded" {
+		t.Fatalf("trajectory shape: %d rounds, finish %+v", len(tr.Rounds), tr.Finish)
+	}
+	if duels, wins := tr.Duels(); duels != 1 || wins != 1 {
+		t.Errorf("Duels = (%d, %d), want (1, 1)", duels, wins)
+	}
+
+	m, err := ReadManifest(filepath.Join(legacyBundle, ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Evaluators != 2 || m.TraceID != "0123456789abcdef" || !m.Incremental {
+		t.Errorf("legacy manifest: %+v", m)
 	}
 }
 

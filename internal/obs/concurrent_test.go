@@ -9,8 +9,9 @@ import (
 )
 
 // TestConcurrentSpanEmission hammers one Recorder from parallel
-// worker goroutines plus a speculation-style goroutine while the main
-// goroutine advances rounds — the shape of a traced distributed run.
+// worker goroutines plus a background RPC-lane goroutine while the
+// main goroutine advances rounds — the shape of a traced distributed
+// run.
 // Run under -race this pins the no-lost-event / no-data-race contract
 // of the tracer fan-out, and the Chrome output must still parse as
 // one well-formed JSON array.
@@ -28,7 +29,7 @@ func TestConcurrentSpanEmission(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Speculation goroutine: background spans on its own thread lane,
+	// Dispatch goroutine: RPC spans on a connection's own thread lane,
 	// round resolved from the recorder's current round (-1).
 	wg.Add(1)
 	go func() {
@@ -40,7 +41,7 @@ func TestConcurrentSpanEmission(t *testing.T) {
 			default:
 			}
 			r.EmitEvent(TraceEvent{
-				Name: "simulate", TID: TIDSpeculation, Round: -1,
+				Name: "rpc:eval", TID: TIDDispatchBase, Round: -1,
 				Start: time.Now(), Dur: time.Microsecond,
 			})
 		}

@@ -106,11 +106,6 @@ type RoundEvent struct {
 	// declared negative (beta > l_d, or a multi-LAC overshoot) and the
 	// round was redone with the single best LAC.
 	Reverted bool `json:"reverted,omitempty"`
-	// Speculated marks rounds that launched the speculative next-round
-	// pipeline; SpecHit marks those whose prediction matched the final
-	// applied set, so the next round consumed precomputed state.
-	Speculated bool `json:"speculated,omitempty"`
-	SpecHit    bool `json:"spec_hit,omitempty"`
 	// Certified reports the round's SAT certification verdict under
 	// the maximum-error metric: nil when the round was not certified
 	// (non-MaxED runs), false when the certification failed (bound

@@ -141,8 +141,6 @@ type Recorder struct {
 	errorGauge    *Gauge
 	andsGauge     *Gauge
 	noProgress    *Gauge
-	specHits      *Counter
-	specMisses    *Counter
 	certCertified *Counter
 	certRefuted   *Counter
 	certBudget    *Counter
@@ -192,10 +190,6 @@ func NewRecorder() *Recorder {
 		"Per-target LAC candidate lists served by the incremental generator, by cache disposition.", L("result", "hit"))
 	r.cacheMisses = reg.Counter("accals_lac_cache_total",
 		"Per-target LAC candidate lists served by the incremental generator, by cache disposition.", L("result", "miss"))
-	r.specHits = reg.Counter("accals_speculation_total",
-		"Speculative round-pipelining outcomes: hit means the predicted winner matched and the prefetched next round was adopted.", L("result", "hit"))
-	r.specMisses = reg.Counter("accals_speculation_total",
-		"Speculative round-pipelining outcomes: hit means the predicted winner matched and the prefetched next round was adopted.", L("result", "miss"))
 	r.certCertified = reg.Counter("accals_cert_total",
 		"SAT certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "certified"))
 	r.certRefuted = reg.Counter("accals_cert_total",
@@ -272,7 +266,7 @@ func (r *Recorder) CurrentRound() int {
 
 // EmitEvent fans one trace event out to every attached tracer. Unlike
 // Span.End it does not feed the phase histograms, so events from
-// other processes and overlap lanes (speculation, RPC) never skew the
+// other processes and overlap lanes (RPC) never skew the
 // per-phase time summary. A Round of -1 is replaced by the current
 // round. No-op without tracers.
 func (r *Recorder) EmitEvent(ev TraceEvent) {
@@ -561,21 +555,6 @@ func (r *Recorder) CountEvaluation() {
 		return
 	}
 	r.evaluations.Inc()
-}
-
-// CountSpeculation records one speculative round-pipelining outcome: a
-// hit means the duel winner matched the prediction and the prefetched
-// simulation + candidate generation were adopted; a miss means they
-// were discarded and the round fell back to the sequential path.
-func (r *Recorder) CountSpeculation(hit bool) {
-	if r == nil {
-		return
-	}
-	if hit {
-		r.specHits.Inc()
-	} else {
-		r.specMisses.Inc()
-	}
 }
 
 // CertOutcome is the disposition of one SAT certification attempt.

@@ -52,10 +52,6 @@ type Summary struct {
 	// (both zero when the run did not use incremental generation).
 	LACCacheHits   int64 `json:"lac_cache_hits,omitempty"`
 	LACCacheMisses int64 `json:"lac_cache_misses,omitempty"`
-	// SpeculationHits/Misses tally speculative round-pipelining
-	// outcomes (both zero when the run did not speculate).
-	SpeculationHits   int64 `json:"speculation_hits,omitempty"`
-	SpeculationMisses int64 `json:"speculation_misses,omitempty"`
 	// CertCertified/CertRefuted/CertBudget tally SAT certification
 	// outcomes of maximum-error rounds (all zero when the run did not
 	// use the MaxED metric).
@@ -101,8 +97,6 @@ func (r *Recorder) Summary() Summary {
 		SATConflicts:          int64(r.satConflicts.Value()),
 		LACCacheHits:          int64(r.cacheHits.Value()),
 		LACCacheMisses:        int64(r.cacheMisses.Value()),
-		SpeculationHits:       int64(r.specHits.Value()),
-		SpeculationMisses:     int64(r.specMisses.Value()),
 		CertCertified:         int64(r.certCertified.Value()),
 		CertRefuted:           int64(r.certRefuted.Value()),
 		CertBudget:            int64(r.certBudget.Value()),

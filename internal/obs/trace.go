@@ -37,8 +37,6 @@ const (
 	PIDEvaluatorBase = 2
 	// TIDMain is the main synthesis-loop thread of a process.
 	TIDMain = 1
-	// TIDSpeculation is the speculative round-pipelining goroutine.
-	TIDSpeculation = 2
 	// TIDDispatchBase is the RPC lane of evaluator connection 0 inside
 	// the coordinator; connection i maps to TIDDispatchBase+i.
 	TIDDispatchBase = 10
@@ -47,8 +45,8 @@ const (
 // TraceEvent is one finished span on the merged timeline. Unlike the
 // Phase-based spans fed by Span.End, a TraceEvent can name an
 // arbitrary stage and carry a process/thread assignment, which is how
-// remote evaluator telemetry and the speculation goroutine appear in
-// a trace. Zero PID/TID mean PIDLocal/TIDMain.
+// remote evaluator telemetry and the dispatch RPC lanes appear in a
+// trace. Zero PID/TID mean PIDLocal/TIDMain.
 type TraceEvent struct {
 	// Name is the span name: a Phase name, an "rpc:*" round trip, or a
 	// remote evaluator stage such as "remote:simulate".
@@ -222,8 +220,6 @@ func threadLabel(ev TraceEvent) string {
 	switch {
 	case ev.TID == TIDMain:
 		return "main"
-	case ev.TID == TIDSpeculation:
-		return "speculation"
 	case ev.TID >= TIDDispatchBase:
 		return fmt.Sprintf("rpc-%d", ev.TID-TIDDispatchBase)
 	}

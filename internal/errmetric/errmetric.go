@@ -81,8 +81,8 @@ func (k Kind) IsWordLevel() bool { return k == NMED || k == MRED || k == MaxED }
 // only the candidate.
 //
 // A Comparator is immutable after construction: every evaluation
-// method (Error, ErrorFromPOs, ErrorFromPOsXor, ErrorWithFlips,
-// NewBaseEval) only reads the cached reference state, so a single
+// method (Error, ErrorFromPOs, ErrorFromPOsXor, NewBaseEval and the
+// flip scorers) only reads the cached reference state, so a single
 // Comparator may be shared by concurrent goroutines — the parallel
 // engine relies on this to measure duel candidates simultaneously.
 type Comparator struct {
@@ -272,12 +272,7 @@ func (c *Comparator) ErrorFromPOsXor(base, flip []simulate.Vec) float64 {
 				av |= (row[j] >> uint(b) & 1) << uint(j)
 			}
 			ev := c.exactVals[w<<6+b]
-			var diff uint64
-			if av > ev {
-				diff = av - ev
-			} else {
-				diff = ev - av
-			}
+			diff := absDiff(av, ev)
 			switch c.kind {
 			case NMED:
 				sum += float64(diff) / c.maxVal
@@ -311,8 +306,12 @@ type BaseEval struct {
 	Vals []uint64
 	// Err is the base circuit's error.
 	Err float64
+	// contrib caches each pattern's error contribution (NMED/MRED
+	// only): the scoring kernel reads the base side of every delta
+	// from it.
+	contrib []float64
 	// wordMax caches, per 64-pattern word, the base circuit's largest
-	// error distance (MaxED only): MaxErrorWithFlips skips the walk of
+	// error distance (MaxED only): the scoring kernel skips the walk of
 	// any word a candidate's flips do not touch.
 	wordMax []uint64
 }
@@ -321,36 +320,46 @@ type BaseEval struct {
 // simulated outputs.
 func (c *Comparator) NewBaseEval(pos []simulate.Vec) *BaseEval {
 	b := &BaseEval{POs: pos}
-	if c.kind.IsWordLevel() {
-		b.Vals = extractValues(pos, c.patterns)
+	if !c.kind.IsWordLevel() {
+		b.Err = c.ErrorFromPOs(pos)
+		return b
 	}
+	b.Vals = extractValues(pos, c.patterns)
 	if c.kind == MaxED {
 		words := c.patterns.Words()
 		b.wordMax = make([]uint64, words)
 		var g uint64
 		for w := 0; w < words; w++ {
-			m := c.wordMaxDiff(b.Vals, w, nil, nil)
-			b.wordMax[w] = m
-			if m > g {
-				g = m
-			}
+			b.wordMax[w] = c.wordMaxDiff(b.Vals, w, ^uint64(0))
+			g = max(g, b.wordMax[w])
 		}
 		b.Err = float64(g)
 		return b
 	}
-	b.Err = c.ErrorFromPOs(pos)
+	// Summing the contributions in pattern order is exactly how
+	// ErrorFromPOs accumulates the mean, so Err is bit-identical to it.
+	b.contrib = make([]float64, len(b.Vals))
+	sum := 0.0
+	for pat, av := range b.Vals {
+		b.contrib[pat] = c.contribution(av, c.exactVals[pat])
+		sum += b.contrib[pat]
+	}
+	b.Err = sum / float64(len(b.Vals))
 	return b
 }
 
-// contribution returns one pattern's error contribution for the
-// word-level metrics.
-func (c *Comparator) contribution(av, ev uint64) float64 {
-	var diff uint64
-	if av > ev {
-		diff = av - ev
-	} else {
-		diff = ev - av
+// absDiff returns |a - b| for unsigned integers.
+func absDiff(a, b uint64) uint64 {
+	if a > b {
+		return a - b
 	}
+	return b - a
+}
+
+// contribution returns one pattern's error contribution for the
+// mean word-level metrics.
+func (c *Comparator) contribution(av, ev uint64) float64 {
+	diff := absDiff(av, ev)
 	switch c.kind {
 	case NMED:
 		return float64(diff) / c.maxVal
@@ -375,136 +384,169 @@ const flipSampleBudget = 16384
 
 // ErrorWithFlips returns the error of base XOR flips (flip[j] may be
 // nil), touching only flipped patterns. It must only be used with the
-// mean word-level metrics (NMED/MRED): it accumulates a sum delta,
-// which is meaningless for a max — MaxED uses MaxErrorWithFlips. The
-// ER estimator has its own batched fast path.
+// mean word-level metrics (NMED/MRED): MaxED uses MaxErrorWithFlips.
+// The ER estimator has its own batched fast path. It is ScoreFlips
+// without a deviation mask.
 func (c *Comparator) ErrorWithFlips(b *BaseEval, flips []simulate.Vec) float64 {
-	if !c.kind.IsWordLevel() || c.kind == MaxED {
+	if c.kind != NMED && c.kind != MRED {
 		panic("errmetric: ErrorWithFlips requires a mean word-level metric (NMED/MRED)")
 	}
-	// Flipped output list and the union of changed patterns.
-	var fj []int
-	for j, f := range flips {
-		if f != nil {
-			fj = append(fj, j)
-		}
-	}
-	if len(fj) == 0 {
-		return b.Err
-	}
-	words := c.patterns.Words()
-	changed := make(simulate.Vec, words)
-	total := 0
-	for w := 0; w < words; w++ {
-		var m uint64
-		for _, j := range fj {
-			m |= flips[j][w]
-		}
-		changed[w] = m
-		total += bits.OnesCount64(m)
-	}
-	if total == 0 {
-		return b.Err
-	}
-	stride := 1
-	if total > flipSampleBudget {
-		stride = (total + flipSampleBudget - 1) / flipSampleBudget
-	}
+	return c.ScoreFlips(b, flips, nil)
+}
 
+// MaxErrorWithFlips returns the MaxED of base XOR flips (flip[j] may
+// be nil). It is ScoreFlips without a deviation mask.
+func (c *Comparator) MaxErrorWithFlips(b *BaseEval, flips []simulate.Vec) float64 {
+	if c.kind != MaxED {
+		panic("errmetric: MaxErrorWithFlips requires the MaxED metric")
+	}
+	return c.ScoreFlips(b, flips, nil)
+}
+
+// ScoreFlips returns the word-level error (NMED, MRED or MaxED) of the
+// base circuit with output j flipped on the patterns in masks[j] & dev,
+// where masks[j] may be nil (output j never flips) and a nil dev masks
+// nothing. The estimator passes a candidate's propagation masks per
+// output and its deviation mask, so no per-candidate flip vector is
+// ever built. Bits past the last pattern are ignored. It allocates
+// nothing and only reads b, so concurrent calls on one BaseEval are
+// safe.
+//
+// The kernel works word by word: it scatters the word's flipped bits
+// into a 64-entry per-pattern flip array, then visits the changed
+// patterns in ascending order. The mean metrics add
+// contribution(new) − contribution(base) per changed pattern, reading
+// the base side from BaseEval, and fall back to a strided word sample
+// above flipSampleBudget changed patterns. MaxED cannot be updated
+// with a sum delta, so it max-merges instead: untouched words
+// contribute their cached base maximum, and of a touched word only the
+// changed patterns are re-walked, plus the unchanged ones when the
+// word's cached maximum could still raise the running maximum.
+func (c *Comparator) ScoreFlips(b *BaseEval, masks []simulate.Vec, dev simulate.Vec) float64 {
+	if !c.kind.IsWordLevel() {
+		panic("errmetric: ScoreFlips requires a word-level metric (NMED/MRED/MaxED)")
+	}
+	// live holds one bit per output that can flip (at most 63 outputs).
+	var live uint64
+	for j, m := range masks {
+		if m != nil {
+			live |= 1 << uint(j)
+		}
+	}
+	if live == 0 {
+		return b.Err
+	}
+	if c.kind == MaxED {
+		return c.maxWithFlips(b, masks, dev, live)
+	}
+	return c.meanWithFlips(b, masks, dev, live)
+}
+
+// meanWithFlips is ScoreFlips for NMED and MRED.
+func (c *Comparator) meanWithFlips(b *BaseEval, masks []simulate.Vec, dev simulate.Vec, live uint64) float64 {
+	n := c.patterns.NumPatterns()
+	words := c.patterns.Words()
+	// The changed-pattern count decides the sampling stride. It can
+	// exceed the budget only on pattern sets larger than the budget;
+	// smaller sets count it during the scoring pass itself.
+	total, stride := -1, 1
+	if n > flipSampleBudget {
+		total = 0
+		for w := 0; w < words; w++ {
+			total += bits.OnesCount64(c.flipWord(nil, masks, dev, live, w))
+		}
+		if total > flipSampleBudget {
+			stride = (total + flipSampleBudget - 1) / flipSampleBudget
+		}
+	}
+	var flip [64]uint64
 	delta := 0.0
 	sampled := 0
 	for w := 0; w < words; w += stride {
-		m := changed[w]
+		m := c.flipWord(&flip, masks, dev, live, w)
 		sampled += bits.OnesCount64(m)
 		for ; m != 0; m &= m - 1 {
-			bit := m & -m
-			pat := w<<6 + bits.TrailingZeros64(bit)
-			av := b.Vals[pat]
-			av2 := av
-			for _, j := range fj {
-				if flips[j][w]&bit != 0 {
-					av2 ^= 1 << uint(j)
-				}
-			}
-			ev := c.exactVals[pat]
-			delta += c.contribution(av2, ev) - c.contribution(av, ev)
+			i := bits.TrailingZeros64(m)
+			pat := w<<6 + i
+			av := b.Vals[pat] ^ flip[i]
+			flip[i] = 0
+			delta += c.contribution(av, c.exactVals[pat]) - b.contrib[pat]
 		}
 	}
 	if sampled == 0 {
 		return b.Err
 	}
+	if total < 0 {
+		total = sampled
+	}
 	delta *= float64(total) / float64(sampled)
-	return b.Err + delta/float64(c.patterns.NumPatterns())
+	return b.Err + delta/float64(n)
 }
 
-// MaxErrorWithFlips returns the MaxED of base XOR flips (flip[j] may
-// be nil). A running maximum cannot be updated with a sum delta the
-// way ErrorWithFlips does, so this is a max-merge instead: words the
-// flips do not touch contribute their cached base maximum
-// (BaseEval.wordMax) and only touched words are re-walked.
-func (c *Comparator) MaxErrorWithFlips(b *BaseEval, flips []simulate.Vec) float64 {
-	if c.kind != MaxED {
-		panic("errmetric: MaxErrorWithFlips requires the MaxED metric")
-	}
-	var fj []int
-	for j, f := range flips {
-		if f != nil {
-			fj = append(fj, j)
-		}
-	}
-	if len(fj) == 0 {
-		return b.Err
-	}
-	words := c.patterns.Words()
+// maxWithFlips is ScoreFlips for MaxED.
+func (c *Comparator) maxWithFlips(b *BaseEval, masks []simulate.Vec, dev simulate.Vec, live uint64) float64 {
+	var flip [64]uint64
 	var g uint64
-	for w := 0; w < words; w++ {
-		var m uint64
-		for _, j := range fj {
-			m |= flips[j][w]
-		}
-		if w == words-1 {
-			m &= c.patterns.LastMask()
-		}
+	for w := range b.wordMax {
+		m := c.flipWord(&flip, masks, dev, live, w)
 		if m == 0 {
-			if b.wordMax[w] > g {
-				g = b.wordMax[w]
-			}
+			g = max(g, b.wordMax[w])
 			continue
 		}
-		if d := c.wordMaxDiff(b.Vals, w, fj, flips); d > g {
-			g = d
+		for x := m; x != 0; x &= x - 1 {
+			i := bits.TrailingZeros64(x)
+			pat := w<<6 + i
+			av := b.Vals[pat] ^ flip[i]
+			flip[i] = 0
+			g = max(g, absDiff(av, c.exactVals[pat]))
+		}
+		if b.wordMax[w] > g {
+			g = max(g, c.wordMaxDiff(b.Vals, w, ^m))
 		}
 	}
 	return float64(g)
 }
 
-// wordMaxDiff returns the largest |approx - exact| over the patterns
-// of word w, with the candidate's flips applied when fj is non-empty.
-func (c *Comparator) wordMaxDiff(vals []uint64, w int, fj []int, flips []simulate.Vec) uint64 {
-	n := c.patterns.NumPatterns()
-	lim := 64
-	if w == c.patterns.Words()-1 && n&63 != 0 {
-		lim = n & 63
+// flipWord returns the mask of word w's patterns on which some output
+// flips: the union over live outputs j of masks[j][w] & dev[w],
+// restricted to real patterns. A non-nil flip also gets 1<<j ORed into
+// flip[i] for every output j that flips at bit i; callers clear each
+// entry they read, so flip is all zero between words.
+func (c *Comparator) flipWord(flip *[64]uint64, masks []simulate.Vec, dev simulate.Vec, live uint64, w int) uint64 {
+	keep := ^uint64(0)
+	if dev != nil {
+		keep = dev[w]
 	}
-	var g uint64
-	for b := 0; b < lim; b++ {
-		pat := w<<6 + b
-		av := vals[pat]
-		for _, j := range fj {
-			if flips[j][w]>>uint(b)&1 != 0 {
-				av ^= 1 << uint(j)
+	if w == c.patterns.Words()-1 {
+		keep &= c.patterns.LastMask()
+	}
+	if keep == 0 {
+		return 0
+	}
+	var changed uint64
+	for l := live; l != 0; l &= l - 1 {
+		j := bits.TrailingZeros64(l)
+		x := masks[j][w] & keep
+		changed |= x
+		if flip != nil {
+			for ; x != 0; x &= x - 1 {
+				flip[bits.TrailingZeros64(x)] |= 1 << uint(j)
 			}
 		}
-		ev := c.exactVals[pat]
-		var diff uint64
-		if av > ev {
-			diff = av - ev
-		} else {
-			diff = ev - av
-		}
-		if diff > g {
-			g = diff
-		}
+	}
+	return changed
+}
+
+// wordMaxDiff returns the largest base |approx - exact| over the
+// patterns of word w selected by sel.
+func (c *Comparator) wordMaxDiff(vals []uint64, w int, sel uint64) uint64 {
+	if w == c.patterns.Words()-1 {
+		sel &= c.patterns.LastMask()
+	}
+	var g uint64
+	for ; sel != 0; sel &= sel - 1 {
+		pat := w<<6 + bits.TrailingZeros64(sel)
+		g = max(g, absDiff(vals[pat], c.exactVals[pat]))
 	}
 	return g
 }

@@ -215,7 +215,9 @@ func TestValidateBound(t *testing.T) {
 // TestComparatorAlwaysFinite is the finite-error property test: across
 // every metric, a variety of circuits (including constant-output and
 // zero-value references, the historical NaN triggers) and pattern
-// seeds, a validated comparator never returns NaN or ±Inf.
+// seeds, a validated comparator never returns NaN or ±Inf, whether it
+// scores whole output vectors or, for the word-level metrics, random
+// flips of a base through ErrorWithFlips/MaxErrorWithFlips.
 func TestComparatorAlwaysFinite(t *testing.T) {
 	builders := []struct {
 		name  string
@@ -258,6 +260,22 @@ func TestComparatorAlwaysFinite(t *testing.T) {
 					if math.IsNaN(e) || math.IsInf(e, 0) {
 						t.Fatalf("%s/%v seed %d base %d: error %v not finite",
 							b.name, k, seed, i, e)
+					}
+					if !k.IsWordLevel() {
+						continue
+					}
+					score := cmp.ErrorWithFlips
+					if k == MaxED {
+						score = cmp.MaxErrorWithFlips
+					}
+					be := cmp.NewBaseEval(pos)
+					for trial := 0; trial < 3; trial++ {
+						flips := noisyPOs(zeroPOs(ref, p), rng)
+						flips[rng.Intn(len(flips))] = nil
+						if e := score(be, flips); math.IsNaN(e) || math.IsInf(e, 0) {
+							t.Fatalf("%s/%v seed %d base %d flips %d: error %v not finite",
+								b.name, k, seed, i, trial, e)
+						}
 					}
 				}
 			}

@@ -11,13 +11,14 @@ import (
 )
 
 // BenchmarkEstimateAll measures sharded batch estimation against the
-// sequential baseline on a mid-size multiplier under ER and NMED.
+// sequential baseline on a mid-size multiplier under ER and the three
+// word-level metrics.
 func BenchmarkEstimateAll(b *testing.B) {
 	g := circuits.ArrayMult(6)
 	p := simulate.NewPatterns(g.NumPIs(), 1<<13, 1)
 	res := simulate.MustRun(g, p)
 	cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-	for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.NMED} {
+	for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.NMED, errmetric.MRED, errmetric.MaxED} {
 		cmp := errmetric.NewComparator(kind, g, p)
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%v/workers=%d", kind, workers), func(b *testing.B) {

@@ -12,11 +12,17 @@
 // exact cone-resimulation mode is provided for validation and for the
 // flow's accurate per-round evaluation.
 //
+// The word-level metrics (NMED/MRED/MaxED) read all outputs of a
+// pattern at once, so their pass keeps a copy of each distinct
+// target's propagation mask per output, and errmetric.ScoreFlips then
+// scores each candidate from its target's masks ANDed with its own
+// deviation mask; no per-candidate flip vector is built.
+//
 // The per-output passes are mutually independent, so an Estimator
 // shards them across workers (one propagator per shard) and merges the
 // per-shard accumulators deterministically: bitwise OR for ER's
-// any-diff masks, integer sums for MHD, and disjoint (LAC, output)
-// slots for the word-level flip masks. Every merge operation is
+// any-diff masks, integer sums for MHD, and disjoint (target, output)
+// mask slots for the word-level metrics. Every merge operation is
 // exactly associative and commutative, so the estimates are
 // bit-identical at any worker count.
 package estimator
@@ -42,6 +48,13 @@ type Estimator struct {
 	workers int
 	props   []*propagator
 	slabs   par.SlabPool
+	// Word-level state, rebuilt each round: targets lists the round's
+	// distinct target nodes, targetNum maps a node id to its index in
+	// targets plus one (0: not a target), and slots holds target t's
+	// mask for output j at t*numPOs+j.
+	targets   []int
+	targetNum []int32
+	slots     []simulate.Vec
 }
 
 // New returns an Estimator with the given worker budget (see
@@ -198,48 +211,32 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 		e.slabs.Put(arena)
 
 	default:
-		// Word-level metrics: collect per-PO flip masks per LAC (nil
-		// when the LAC cannot flip that output). Shards own disjoint
-		// output columns of the flips matrix, so no merge is needed;
-		// scoring is then per-LAC independent and runs sharded too.
-		flips := make([][]simulate.Vec, nl)
-		for i := range flips {
-			flips[i] = make([]simulate.Vec, numPOs)
+		// Word-level metrics: each shard copies every distinct target's
+		// propagation mask for its outputs into its arena (nil when the
+		// target cannot flip that output). Shards own disjoint output
+		// columns of the slot table, so no merge is needed; scoring is
+		// then per-LAC independent and runs sharded too.
+		e.indexTargets(g.NumNodes(), lacs)
+		nt := len(e.targets)
+		if cap(e.slots) < nt*numPOs {
+			e.slots = make([]simulate.Vec, nt*numPOs)
 		}
+		slots := e.slots[:nt*numPOs]
 		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
 			prop := e.props[shard]
 			for j := j0; j < j1; j++ {
 				masks := prop.run(j)
-				for i, l := range lacs {
-					pm := masks[l.Target]
-					if pm == nil {
-						continue
-					}
-					var f simulate.Vec
-					for w := 0; w < words; w++ {
-						b := pm[w] & devs[i][w]
-						if b != 0 && f == nil {
-							f = make(simulate.Vec, words)
-						}
-						if f != nil {
-							f[w] = b
-						}
-					}
-					flips[i][j] = f
+				for t, id := range e.targets {
+					slots[t*numPOs+j] = prop.keep(masks[id])
 				}
 			}
 		})
 		base := cmp.NewBaseEval(curPOs)
-		// MaxED needs a max-merge (cached per-word maxima, re-walk only
-		// touched words) where the mean metrics use a sum delta.
-		score := cmp.ErrorWithFlips
-		if cmp.Kind() == errmetric.MaxED {
-			score = cmp.MaxErrorWithFlips
-		}
 		minLACs := minScoreWordOps / (numPOs*words + 1)
 		par.For(par.BlocksMin(e.workers, nl, minLACs), nl, func(_, i0, i1 int) {
 			for i := i0; i < i1; i++ {
-				lacs[i].DeltaE = score(base, flips[i]) - curErr
+				t := int(e.targetNum[lacs[i].Target]) - 1
+				lacs[i].DeltaE = cmp.ScoreFlips(base, slots[t*numPOs:(t+1)*numPOs], devs[i]) - curErr
 			}
 		})
 	}
@@ -260,6 +257,24 @@ const (
 	minScoreWordOps  = 1 << 15
 	minResimPerShard = 4
 )
+
+// indexTargets numbers the distinct targets of lacs in first-seen
+// order into e.targets and e.targetNum, clearing every number left by
+// the previous round.
+func (e *Estimator) indexTargets(numNodes int, lacs []*lac.LAC) {
+	if cap(e.targetNum) < numNodes {
+		e.targetNum = make([]int32, numNodes)
+	}
+	e.targetNum = e.targetNum[:numNodes]
+	clear(e.targetNum)
+	e.targets = e.targets[:0]
+	for _, l := range lacs {
+		if e.targetNum[l.Target] == 0 {
+			e.targets = append(e.targets, l.Target)
+			e.targetNum[l.Target] = int32(len(e.targets))
+		}
+	}
+}
 
 // runShards executes body over [0,n) split into the given number of
 // blocks (at most the Estimator's workers; callers cap fan-out with
@@ -297,21 +312,33 @@ type propagator struct {
 	touched []int
 	pool    []simulate.Vec
 	scratch simulate.Vec
+	// chunks back the word-level target masks kept this round, each
+	// holding arenaChunk masks; the next free one is at word used of
+	// chunks[chunk].
+	chunks      [][]uint64
+	chunk, used int
 }
+
+// arenaChunk is the number of masks per arena chunk: small enough that
+// the unused tail stays a fraction of a round's masks, large enough
+// that a round allocates few chunks.
+const arenaChunk = 256
 
 // reset rebinds the propagator to a graph and its simulation, retiring
 // live masks into the pool (or dropping every buffer when the word
-// count changed).
+// count changed) and emptying the arena.
 func (p *propagator) reset(g *aig.Graph, res *simulate.Result) {
 	for _, id := range p.touched {
 		p.pool = append(p.pool, p.masks[id])
 		p.masks[id] = nil
 	}
 	p.touched = p.touched[:0]
+	p.chunk, p.used = 0, 0
 	words := res.Patterns.Words()
 	if words != p.words {
 		p.pool = p.pool[:0]
 		p.scratch = nil
+		p.chunks = nil
 	}
 	p.g, p.res, p.words = g, res, words
 	if n := g.NumNodes(); cap(p.masks) >= n {
@@ -328,6 +355,33 @@ func (p *propagator) scratchVec() simulate.Vec {
 		p.scratch = make(simulate.Vec, p.words)
 	}
 	return p.scratch
+}
+
+// keep copies a propagation mask into the arena and returns the copy,
+// or nil when the mask is nil or all zero (no flip can reach the
+// output). The arena's chunks are reused across rounds; a round that
+// needs more masks than any before it appends chunks.
+func (p *propagator) keep(pm simulate.Vec) simulate.Vec {
+	if pm == nil {
+		return nil
+	}
+	if p.used == arenaChunk*p.words {
+		p.chunk, p.used = p.chunk+1, 0
+	}
+	if p.chunk == len(p.chunks) {
+		p.chunks = append(p.chunks, make([]uint64, arenaChunk*p.words))
+	}
+	v := p.chunks[p.chunk][p.used : p.used+p.words : p.used+p.words]
+	var nonzero uint64
+	for w, x := range pm {
+		v[w] = x
+		nonzero |= x
+	}
+	if nonzero == 0 {
+		return nil
+	}
+	p.used += p.words
+	return v
 }
 
 // alloc returns a zeroed vector, reusing retired buffers.

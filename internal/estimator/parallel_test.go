@@ -15,7 +15,7 @@ import (
 // every metric family and several worker counts.
 func TestEstimatorMatchesSequential(t *testing.T) {
 	g := circuits.ArrayMult(4)
-	for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.MHD, errmetric.NMED, errmetric.MRED} {
+	for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.MHD, errmetric.NMED, errmetric.MRED, errmetric.MaxED} {
 		res, cmp, cands := setup(t, g, kind)
 		want := make([]float64, len(cands))
 		wantErr := New(1).EstimateAllRec(g, res, cmp, cands, nil)
@@ -42,7 +42,9 @@ func TestEstimatorMatchesSequential(t *testing.T) {
 
 // TestEstimatorReuseAcrossRounds checks that an Estimator's recycled
 // propagators and arenas stay correct across rounds with changing
-// graphs, metrics, pattern sizes and candidate counts.
+// graphs, metrics, pattern sizes and candidate counts. The word-level
+// rounds include a smaller NMED round after a larger one, so a target
+// number or mask slot left over from an earlier round fails it.
 func TestEstimatorReuseAcrossRounds(t *testing.T) {
 	e := New(4)
 	rounds := []struct {
@@ -54,6 +56,11 @@ func TestEstimatorReuseAcrossRounds(t *testing.T) {
 		{circuits.CLA(6), errmetric.MHD, 500},
 		{circuits.ArrayMult(3), errmetric.NMED, 1024},
 		{circuits.RCA(8), errmetric.ER, 333},
+		{circuits.ArrayMult(5), errmetric.NMED, 2048},
+		{circuits.ArrayMult(3), errmetric.NMED, 700},
+		{circuits.RCA(8), errmetric.MRED, 1024},
+		{circuits.ArrayMult(4), errmetric.MaxED, 333},
+		{circuits.CLA(6), errmetric.MaxED, 1024},
 	}
 	for round, rc := range rounds {
 		p := simulate.NewPatterns(rc.g.NumPIs(), rc.pats, 3)

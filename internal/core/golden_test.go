@@ -16,8 +16,9 @@ import (
 
 // TestGoldenTrajectories is the refactor gate of the core loop: each
 // cell pins a full synthesis run's outcome — final AND count, the
-// exact bits of the final error, round count, stop reason and the
-// SHA-256 of the final circuit's binary AIGER. Every cell runs at
+// exact bits of the final error, round count, stop reason, the
+// SHA-256 of the final circuit's binary AIGER and, under MaxED, the
+// total SAT conflicts spent certifying it. Every cell runs at
 // Workers 1 and 2 with Incremental off and on, and all four runs must
 // reproduce the one expected row, so a change to the loop that moves
 // any trajectory, or lets the switches disagree, fails here.
@@ -25,27 +26,30 @@ func TestGoldenTrajectories(t *testing.T) {
 	mult4 := func() *aig.Graph { return circuits.ArrayMult(4) }
 	rca8 := func() *aig.Graph { return circuits.RCA(8) }
 	cases := []struct {
-		name      string
-		build     func() *aig.Graph
-		metric    errmetric.Kind
-		bound     float64
-		ld        float64
-		ands      int
-		errBits   uint64
-		rounds    int
-		stop      string
-		aigSHA256 string
+		name          string
+		build         func() *aig.Graph
+		metric        errmetric.Kind
+		bound         float64
+		ld            float64
+		ands          int
+		errBits       uint64
+		rounds        int
+		stop          string
+		aigSHA256     string
+		certConflicts int64
 	}{
 		{"mult4-er", mult4, errmetric.ER, 0.03, 0,
-			110, 0x3f90000000000000, 3, "bounded", "08ae0928cbd3024c397aada5235848ac8632f88afe37b113d80800717299ef9c"},
+			110, 0x3f90000000000000, 3, "bounded", "08ae0928cbd3024c397aada5235848ac8632f88afe37b113d80800717299ef9c", 0},
 		{"mult4-nmed", mult4, errmetric.NMED, 0.03, 0,
-			42, 0x3f9dc5c5c5c5c5bb, 10, "bounded", "70742f66f262485af785ac87e4886be71132cb25e85eee7a8dedc0d630f7a2d4"},
+			42, 0x3f9dc5c5c5c5c5bb, 10, "bounded", "70742f66f262485af785ac87e4886be71132cb25e85eee7a8dedc0d630f7a2d4", 0},
 		{"mult4-mred", mult4, errmetric.MRED, 0.03, 0,
-			85, 0x3f9d0d91912d0a89, 8, "bounded", "1750d1daa1bd4e499b8c1b034977e2d9b4bdd05a26af8063009af4cf701096d7"},
+			85, 0x3f9d0d91912d0a89, 8, "bounded", "1750d1daa1bd4e499b8c1b034977e2d9b4bdd05a26af8063009af4cf701096d7", 0},
 		{"mult4-er-revert", mult4, errmetric.ER, 0.03, -0.5,
-			109, 0x3f90000000000000, 6, "bounded", "97834a043087d619aac9b7ca6f1c3cbbeb7c4930277cf84e0ed7d4f6f2325d7e"},
+			109, 0x3f90000000000000, 6, "bounded", "97834a043087d619aac9b7ca6f1c3cbbeb7c4930277cf84e0ed7d4f6f2325d7e", 0},
 		{"rca8-maxed", rca8, errmetric.MaxED, 16, 0,
-			47, 0x402a000000000000, 5, "bounded", "09fad21aee577a826a0c8df560157bf8ca03b5ba7b2fb6568b2bd8b39177d67d"},
+			47, 0x402a000000000000, 5, "bounded", "09fad21aee577a826a0c8df560157bf8ca03b5ba7b2fb6568b2bd8b39177d67d", 956},
+		{"mult4-maxed", mult4, errmetric.MaxED, 16, 0,
+			75, 0x4030000000000000, 9, "bounded", "545239972243235faed13457ba0d2cec81344279ea487744670e193b944a802f", 3064},
 	}
 
 	runs, guardRounds, revertedRounds := 0, 0, 0
@@ -64,11 +68,11 @@ func TestGoldenTrajectories(t *testing.T) {
 						t.Fatal(err)
 					}
 					sum := sha256.Sum256(buf.Bytes())
-					got := fmt.Sprintf("ands=%d err=%#x rounds=%d stop=%s sha256=%s",
+					got := fmt.Sprintf("ands=%d err=%#x rounds=%d stop=%s sha256=%s conflicts=%d",
 						res.Final.NumAnds(), math.Float64bits(res.Error), len(res.Rounds),
-						res.StopReason, hex.EncodeToString(sum[:]))
-					want := fmt.Sprintf("ands=%d err=%#x rounds=%d stop=%s sha256=%s",
-						tc.ands, tc.errBits, tc.rounds, tc.stop, tc.aigSHA256)
+						res.StopReason, hex.EncodeToString(sum[:]), res.CertConflicts)
+					want := fmt.Sprintf("ands=%d err=%#x rounds=%d stop=%s sha256=%s conflicts=%d",
+						tc.ands, tc.errBits, tc.rounds, tc.stop, tc.aigSHA256, tc.certConflicts)
 					if got != want {
 						t.Errorf("trajectory moved:\n got %s\nwant %s", got, want)
 					}

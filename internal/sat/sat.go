@@ -4,6 +4,26 @@
 // VSIDS-style activity ordering, phase saving, and Luby restarts.
 // It is the engine behind the combinational equivalence checker
 // (package cec) used to verify circuit transformations exactly.
+//
+// Clauses live in one flat arena: each is a length word followed by
+// its literals, addressed by the int32 offset of the length word.
+// Watch lists and reasons hold offsets, so visiting a watcher is one
+// index into the arena, and added and learnt clauses are appended to
+// it in place. Propagation compacts each watch list in place, keeping
+// the surviving watchers in their original order, and reads literal
+// values from a per-literal table kept by enqueue and cancelUntil.
+//
+// The layout may change; the search may not. Watch order, replacement
+// scan order, first-UIP literal order, activity bumps, Luby restarts
+// and linear-scan branching are exactly those of the pointer-per-clause
+// solver kept as a test-only reference (reference_test.go), so a query
+// makes the same decisions, learns the same clauses, reports the same
+// Conflicts() and returns the same model. The golden trajectories in
+// package core pin the certification conflicts that depend on this.
+//
+// After Sat the model stays on the trail and Value reads it. The next
+// AddClause or Solve first backtracks to decision level 0, which
+// clears the model.
 package sat
 
 import "fmt"
@@ -47,11 +67,9 @@ const (
 	lFalse
 )
 
-// clause is a disjunction of literals.
-type clause struct {
-	lits   []Lit
-	learnt bool
-}
+// noReason is the reason of a decision, an assumption or a level-0
+// unit: no clause implied it.
+const noReason int32 = -1
 
 // Status is a solver verdict.
 type Status int
@@ -66,13 +84,13 @@ const (
 // Solver is a CDCL SAT solver. Create with New, add clauses, then
 // call Solve.
 type Solver struct {
-	clauses []*clause
-	watches [][]*clause // literal -> clauses watching it
+	arena   []Lit     // clauses: length word, then the literals
+	watches [][]int32 // literal -> offsets of the clauses watching it
 
-	assign   []lbool
+	litVal   []lbool // literal -> value
 	level    []int32
-	reason   []*clause
-	phase    []bool // saved phases
+	reason   []int32 // variable -> offset of its implying clause, or noReason
+	phase    []bool  // saved phases
 	activity []float64
 	varInc   float64
 
@@ -80,8 +98,8 @@ type Solver struct {
 	trailLim []int
 	qhead    int
 
-	order   []int // lazy activity heap (simple; rebuilt on demand)
 	seen    []bool
+	learnt  []Lit // analyze's output, reused across conflicts
 	conflic int64
 
 	// Budget caps the number of conflicts before Solve gives up with
@@ -99,10 +117,10 @@ func New(nVars int) *Solver {
 }
 
 func (s *Solver) grow(nVars int) {
-	for len(s.assign) < nVars {
-		s.assign = append(s.assign, lUndef)
+	for len(s.level) < nVars {
+		s.litVal = append(s.litVal, lUndef, lUndef)
 		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
+		s.reason = append(s.reason, noReason)
 		s.phase = append(s.phase, false)
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, false)
@@ -111,62 +129,72 @@ func (s *Solver) grow(nVars int) {
 }
 
 // NumVars returns the variable count.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NewVar adds a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	s.grow(len(s.assign) + 1)
-	return len(s.assign) - 1
+	s.grow(len(s.level) + 1)
+	return len(s.level) - 1
 }
 
 // AddClause adds a clause; it returns false if the clause makes the
 // formula trivially unsatisfiable. Literals over unseen variables
-// grow the solver.
+// grow the solver. It backtracks to level 0 first, discarding the
+// model of an earlier Sat.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.unsat {
 		return false
 	}
+	s.cancelUntil(0)
 	for _, l := range lits {
-		if l.Var() >= len(s.assign) {
+		if l.Var() >= len(s.level) {
 			s.grow(l.Var() + 1)
 		}
 	}
-	// Simplify: drop duplicate/false literals, detect tautology.
-	var cl []Lit
+	// Simplify straight into the arena: drop duplicate/false
+	// literals, detect tautology, and roll the arena back when the
+	// clause is not stored.
+	cr := len(s.arena)
+	s.arena = append(s.arena, 0)
 	for _, l := range lits {
-		switch s.valueLit(l) {
+		switch s.litVal[l] {
 		case lTrue:
+			s.arena = s.arena[:cr]
 			return true // already satisfied at level 0
 		case lFalse:
 			continue
 		}
 		dup := false
-		for _, o := range cl {
+		for _, o := range s.arena[cr+1:] {
 			if o == l {
 				dup = true
 			}
 			if o == l.Not() {
+				s.arena = s.arena[:cr]
 				return true // tautology
 			}
 		}
 		if !dup {
-			cl = append(cl, l)
+			s.arena = append(s.arena, l)
 		}
 	}
-	switch len(cl) {
+	n := len(s.arena) - cr - 1
+	switch n {
 	case 0:
+		s.arena = s.arena[:cr]
 		s.unsat = true
 		return false
 	case 1:
-		if !s.enqueue(cl[0], nil) {
+		u := s.arena[cr+1]
+		s.arena = s.arena[:cr]
+		if !s.enqueue(u, noReason) {
 			s.unsat = true
 			return false
 		}
-		return s.propagate() == nil || s.markUnsat()
+		return s.propagate() == noReason || s.markUnsat()
 	}
-	c := &clause{lits: cl}
-	s.attach(c)
-	s.clauses = append(s.clauses, c)
+	s.arena[cr] = Lit(n)
+	s.attach(int32(cr))
 	return true
 }
 
@@ -175,69 +203,68 @@ func (s *Solver) markUnsat() bool {
 	return false
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], c)
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+// lits returns the literals of the clause at offset cr, aliasing the
+// arena.
+func (s *Solver) lits(cr int32) []Lit {
+	return s.arena[cr+1 : cr+1+int32(s.arena[cr])]
 }
 
-func (s *Solver) valueLit(l Lit) lbool {
-	v := s.assign[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		if v == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return v
+// attach watches the clause at offset cr on its first two literals.
+func (s *Solver) attach(cr int32) {
+	c := s.lits(cr)
+	s.watches[c[0].Not()] = append(s.watches[c[0].Not()], cr)
+	s.watches[c[1].Not()] = append(s.watches[c[1].Not()], cr)
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
-	switch s.valueLit(l) {
+func (s *Solver) enqueue(l Lit, from int32) bool {
+	switch s.litVal[l] {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
-	if l.Neg() {
-		s.assign[l.Var()] = lFalse
-	} else {
-		s.assign[l.Var()] = lTrue
-	}
+	s.litVal[l] = lTrue
+	s.litVal[l.Not()] = lFalse
 	s.level[l.Var()] = int32(len(s.trailLim))
 	s.reason[l.Var()] = from
 	s.trail = append(s.trail, l)
 	return true
 }
 
-// propagate performs unit propagation; it returns the conflicting
-// clause or nil.
-func (s *Solver) propagate() *clause {
+// propagate performs unit propagation; it returns the offset of the
+// conflicting clause or noReason.
+func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
+		falseLit := p.Not()
+		// Compact watches[p] in place: i reads, j writes, survivors
+		// keep their order. No append below can reach watches[p]: a
+		// replacement watch is a non-false literal c[1], filed under
+		// c[1].Not(), and c[1] == ¬p is impossible because ¬p is
+		// false. So ws stays the list's only view while it is walked.
 		ws := s.watches[p]
-		s.watches[p] = ws[:0:0] // detach; re-add the keepers
-		var kept []*clause
-		for wi := 0; wi < len(ws); wi++ {
-			c := ws[wi]
-			// Normalise: watched literal being falsified is p.Not();
-			// make it lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+		i, j := 0, 0
+		for i < len(ws) {
+			cr := ws[i]
+			i++
+			c := s.lits(cr)
+			// Normalise: the watched literal being falsified is
+			// p.Not(); make it c[1].
+			if c[0] == falseLit {
+				c[0], c[1] = c[1], falseLit
 			}
-			if s.valueLit(c.lits[0]) == lTrue {
-				kept = append(kept, c)
+			if s.litVal[c[0]] == lTrue {
+				ws[j] = cr
+				j++
 				continue
 			}
 			// Find a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+			for k := 2; k < len(c); k++ {
+				if s.litVal[c[k]] != lFalse {
+					c[1], c[k] = c[k], c[1]
+					s.watches[c[1].Not()] = append(s.watches[c[1].Not()], cr)
 					found = true
 					break
 				}
@@ -246,30 +273,32 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Unit or conflicting.
-			kept = append(kept, c)
-			if !s.enqueue(c.lits[0], c) {
-				// Conflict: restore remaining watches and report.
-				kept = append(kept, ws[wi+1:]...)
-				s.watches[p] = append(s.watches[p], kept...)
-				return c
+			ws[j] = cr
+			j++
+			if s.litVal[c[0]] == lFalse {
+				// Conflict: keep the unvisited tail and report.
+				j += copy(ws[j:], ws[i:])
+				s.watches[p] = ws[:j]
+				return cr
 			}
+			s.enqueue(c[0], cr)
 		}
-		s.watches[p] = append(s.watches[p], kept...)
+		s.watches[p] = ws[:j]
 	}
-	return nil
+	return noReason
 }
 
-// analyze performs first-UIP conflict analysis, returning the learnt
-// clause (asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot for the asserting literal
+// analyze performs first-UIP conflict analysis into s.learnt
+// (asserting literal first) and returns the backjump level.
+func (s *Solver) analyze(confl int32) int {
+	s.learnt = append(s.learnt[:0], 0) // slot for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
-	curLevel := len(s.trailLim)
+	curLevel := int32(len(s.trailLim))
 
 	for {
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
 				continue
 			}
@@ -279,10 +308,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 			}
 			s.seen[v] = true
 			s.bumpVar(v)
-			if int(s.level[v]) == curLevel {
+			if s.level[v] == curLevel {
 				counter++
 			} else {
-				learnt = append(learnt, q)
+				s.learnt = append(s.learnt, q)
 			}
 		}
 		// Pick the next literal to expand from the trail.
@@ -298,6 +327,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		}
 		confl = s.reason[p.Var()]
 	}
+	learnt := s.learnt
 	learnt[0] = p.Not()
 
 	// Backjump level: highest level among the other literals.
@@ -320,7 +350,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for i := 1; i < len(learnt); i++ {
 		s.seen[learnt[i].Var()] = false
 	}
-	return learnt, back
+	return back
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -339,10 +369,11 @@ func (s *Solver) cancelUntil(level int) {
 		return
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[level]; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assign[v] == lTrue
-		s.assign[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		s.phase[l.Var()] = !l.Neg()
+		s.litVal[l] = lUndef
+		s.litVal[l.Not()] = lUndef
+		s.reason[l.Var()] = noReason
 	}
 	s.trail = s.trail[:s.trailLim[level]]
 	s.trailLim = s.trailLim[:level]
@@ -350,11 +381,12 @@ func (s *Solver) cancelUntil(level int) {
 }
 
 // pickBranch returns the unassigned variable with the highest
-// activity (linear scan; adequate at the CNF sizes we produce).
+// activity, the lowest index on ties (linear scan; adequate at the
+// CNF sizes we produce).
 func (s *Solver) pickBranch() int {
 	best, bestAct := -1, -1.0
-	for v := 0; v < len(s.assign); v++ {
-		if s.assign[v] == lUndef && s.activity[v] > bestAct {
+	for v := 0; v < len(s.activity); v++ {
+		if s.litVal[v<<1] == lUndef && s.activity[v] > bestAct {
 			best, bestAct = v, s.activity[v]
 		}
 	}
@@ -374,12 +406,15 @@ func luby(i int64) int64 {
 }
 
 // Solve runs the CDCL loop under the given assumptions. It returns
-// Sat, Unsat, or Unknown when the conflict budget is exhausted.
+// Sat, Unsat, or Unknown when the conflict budget is exhausted. It
+// backtracks to level 0 first, so each call searches afresh from the
+// clauses, learnt ones included.
 func (s *Solver) Solve(assumptions ...Lit) Status {
+	s.cancelUntil(0)
 	if s.unsat {
 		return Unsat
 	}
-	if c := s.propagate(); c != nil {
+	if s.propagate() != noReason {
 		s.unsat = true
 		return Unsat
 	}
@@ -392,7 +427,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		// (Re)assume after any restart.
 		for len(s.trailLim) < len(assumptions) {
 			a := assumptions[len(s.trailLim)]
-			switch s.valueLit(a) {
+			switch s.litVal[a] {
 			case lTrue:
 				s.trailLim = append(s.trailLim, len(s.trail))
 				continue
@@ -401,8 +436,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unsat
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.enqueue(a, nil)
-			if c := s.propagate(); c != nil {
+			s.enqueue(a, noReason)
+			if s.propagate() != noReason {
 				s.cancelUntil(0)
 				return Unsat
 			}
@@ -413,11 +448,11 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			return Sat
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(MkLit(v, !s.phase[v]), nil)
+		s.enqueue(MkLit(v, !s.phase[v]), noReason)
 
 		for {
 			confl := s.propagate()
-			if confl == nil {
+			if confl == noReason {
 				break
 			}
 			s.conflic++
@@ -433,23 +468,24 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				s.cancelUntil(0)
 				return Unknown
 			}
-			learnt, back := s.analyze(confl)
+			back := s.analyze(confl)
 			if back < len(assumptions) {
 				back = len(assumptions)
 			}
 			s.cancelUntil(back)
-			if len(learnt) == 1 {
+			if len(s.learnt) == 1 {
 				s.cancelUntil(0)
-				if !s.enqueue(learnt[0], nil) || s.propagate() != nil {
+				if !s.enqueue(s.learnt[0], noReason) || s.propagate() != noReason {
 					s.unsat = true
 					return Unsat
 				}
 				break
 			}
-			c := &clause{lits: learnt, learnt: true}
-			s.attach(c)
-			s.clauses = append(s.clauses, c)
-			if !s.enqueue(learnt[0], c) {
+			cr := int32(len(s.arena))
+			s.arena = append(s.arena, Lit(len(s.learnt)))
+			s.arena = append(s.arena, s.learnt...)
+			s.attach(cr)
+			if !s.enqueue(s.learnt[0], cr) {
 				s.unsat = true
 				return Unsat
 			}
@@ -465,8 +501,9 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 }
 
-// Value returns the model value of variable v after Sat.
-func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
+// Value returns the model value of variable v after Sat. The model
+// is valid until the next AddClause or Solve.
+func (s *Solver) Value(v int) bool { return s.litVal[v<<1] == lTrue }
 
 // Conflicts returns the total conflicts encountered (statistics).
 func (s *Solver) Conflicts() int64 { return s.conflic }

@@ -217,4 +217,34 @@ func TestSolveWithAssumptions(t *testing.T) {
 	if s.Solve() != Sat {
 		t.Fatal("formula itself is SAT")
 	}
+
+	// After a Sat verdict the next Solve must not inherit the model:
+	// the x1 assumption's level has to go before !x1 is assumed.
+	s = New(2)
+	s.AddClause(MkLit(0, false), MkLit(1, false))
+	s.AddClause(MkLit(0, true), MkLit(1, false))
+	if s.Solve(MkLit(1, false)) != Sat {
+		t.Fatal("assuming x1 should be SAT")
+	}
+	if got := s.Solve(MkLit(1, true)); got != Unsat {
+		t.Fatalf("assuming !x1 after a SAT call = %v (x1=%v), want UNSAT", got, s.Value(1))
+	}
+
+	// Nor may AddClause simplify against the model: with x0=F, x1=T,
+	// x2=F left on the trail, (x0 | x2) looked empty and the
+	// satisfiable formula was reported UNSAT.
+	s = New(3)
+	s.AddClause(MkLit(0, false), MkLit(1, false))
+	if s.Solve() != Sat {
+		t.Fatal("(x0 | x1) should be SAT")
+	}
+	if !s.AddClause(MkLit(0, false), MkLit(2, false)) {
+		t.Fatal("AddClause(x0 | x2) after a SAT call reported a contradiction")
+	}
+	if s.Solve() != Sat {
+		t.Fatal("(x0 | x1) & (x0 | x2) should be SAT")
+	}
+	if !s.Value(0) && !(s.Value(1) && s.Value(2)) {
+		t.Fatalf("model x0=%v x1=%v x2=%v violates a clause", s.Value(0), s.Value(1), s.Value(2))
+	}
 }

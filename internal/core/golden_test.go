@@ -12,6 +12,7 @@ import (
 	"accals/internal/aiger"
 	"accals/internal/circuits"
 	"accals/internal/errmetric"
+	"accals/internal/mis"
 )
 
 // TestGoldenTrajectories is the refactor gate of the core loop: each
@@ -25,6 +26,7 @@ import (
 func TestGoldenTrajectories(t *testing.T) {
 	mult4 := func() *aig.Graph { return circuits.ArrayMult(4) }
 	rca8 := func() *aig.Graph { return circuits.RCA(8) }
+	sin7 := func() *aig.Graph { return circuits.SinCordic(7, 5) }
 	cases := []struct {
 		name          string
 		build         func() *aig.Graph
@@ -50,9 +52,13 @@ func TestGoldenTrajectories(t *testing.T) {
 			47, 0x402a000000000000, 5, "bounded", "09fad21aee577a826a0c8df560157bf8ca03b5ba7b2fb6568b2bd8b39177d67d", 956},
 		{"mult4-maxed", mult4, errmetric.MaxED, 16, 0,
 			75, 0x4030000000000000, 9, "bounded", "545239972243235faed13457ba0d2cec81344279ea487744670e193b944a802f", 3064},
+		// G_sol outgrows mis.ExactLimit here, so the heuristic MIS
+		// path (greedy, local search, seeded restarts) is pinned too.
+		{"sin7-er", sin7, errmetric.ER, 0.03, 0,
+			177, 0x3f90000000000000, 8, "bounded", "f5c3de1c8d831c2981be7c214eb16e17345b8ca5d88f9302729f0bbdb789644f", 0},
 	}
 
-	runs, guardRounds, revertedRounds := 0, 0, 0
+	runs, guardRounds, revertedRounds, heuristicMIS := 0, 0, 0, 0
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2} {
 			for _, incremental := range []bool{false, true} {
@@ -84,13 +90,16 @@ func TestGoldenTrajectories(t *testing.T) {
 						if r.Reverted {
 							revertedRounds++
 						}
+						if r.SolSize > mis.ExactLimit {
+							heuristicMIS++
+						}
 					}
 				})
 			}
 		}
 	}
-	// The table must reach both of the loop's fallback paths, or a
-	// refactor of either would go unchecked. A -run filter that skips
+	// The table must reach both of the loop's fallback paths and the
+	// heuristic MIS solver, or a refactor of any would go unchecked. A -run filter that skips
 	// cells skips this check too.
 	if runs < 4*len(cases) {
 		return
@@ -100,5 +109,8 @@ func TestGoldenTrajectories(t *testing.T) {
 	}
 	if revertedRounds == 0 {
 		t.Error("no cell ran a reverted round")
+	}
+	if heuristicMIS == 0 {
+		t.Error("no cell solved a G_sol above mis.ExactLimit")
 	}
 }

@@ -6,12 +6,12 @@
 // which keeps snapshots self-contained, diffable, and independent of
 // internal node numbering.
 //
-// Snapshots deliberately exclude the incremental round engine's caches
-// (per-target LAC candidates, influence-index vectors): those live in
-// memory for one run and are keyed to concrete node ids, which the
-// BLIF round-trip renumbers. A resumed run rebuilds them from scratch —
-// its first round is a full generation — and converges to the same
-// trajectory because the caches never change results, only timing.
+// Snapshots deliberately exclude the incremental round engine's cache
+// of per-target LAC candidates: it lives in memory for one run and is
+// keyed to concrete node ids, which the BLIF round-trip renumbers. A
+// resumed run rebuilds it from scratch — its first round is a full
+// generation — and converges to the same trajectory because the cache
+// never changes results, only timing.
 package checkpoint
 
 import (

@@ -89,13 +89,12 @@ type Options struct {
 	Workers int
 	// Incremental enables the incremental round engine: after each
 	// Apply the run computes the dirty cone of the change and reuses
-	// the previous round's per-target LAC candidate lists and
-	// influence-index vectors for every clean node, regenerating only
-	// inside the cone. The trajectory is bit-identical to a
-	// from-scratch run — same circuits, per-round errors and stop
-	// reason — so the switch only trades memory for per-round time.
-	// The caches live in memory for the duration of one run; a resumed
-	// run's first round is a full generation.
+	// the previous round's per-target LAC candidate lists for every
+	// clean node, regenerating only inside the cone. The trajectory is
+	// bit-identical to a from-scratch run — same circuits, per-round
+	// errors and stop reason — so the switch only trades memory for
+	// per-round time. The cache lives in memory for the duration of one
+	// run; a resumed run's first round is a full generation.
 	Incremental bool
 	// Evaluators, when non-nil, farms candidate estimation out to the
 	// pool's external evaluator processes (accals -serve-eval),
@@ -315,37 +314,29 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	}
 
 	// The incremental round engine: gen caches per-target candidate
-	// lists across rounds and infl carries the influence index across
-	// Apply boundaries; both are rebased through the aig.Delta of each
+	// lists across rounds and is rebased through the aig.Delta of each
 	// round's final rebuild. Off (nil) unless opt.Incremental.
 	var gen *lac.Generator
 	if opt.Incremental {
 		gen = lac.NewGenerator(opt.Workers)
 	}
-	var infl *influenceIndex
 	generate := func(g *aig.Graph, simRes *simulate.Result) []*lac.LAC {
 		if gen != nil {
 			return gen.Generate(g, simRes, genCfg, rec)
 		}
 		return lac.Generate(g, simRes, genCfg)
 	}
-	// noteApply rebases the caches through the round's final rebuild:
-	// g → gNew via the literal map am, with applied the LAC set of that
-	// rebuild. A reverted round calls this once, for the single-LAC
-	// rebuild that actually produced gNew — the discarded multi-LAC
-	// rebuild is never noted, which is all the rollback the caches
-	// need.
+	// noteApply rebases the candidate cache through the round's final
+	// rebuild: g → gNew via the literal map am, with applied the LAC set
+	// of that rebuild. A reverted round calls this once, for the
+	// single-LAC rebuild that actually produced gNew — the discarded
+	// multi-LAC rebuild is never noted, which is all the rollback the
+	// cache needs.
 	noteApply := func(g, gNew *aig.Graph, am []aig.Lit, applied []*lac.LAC) {
 		if gen == nil {
 			return
 		}
-		d := aig.NewDelta(g, gNew, am, lac.Targets(applied))
-		gen.NoteApply(d, applied)
-		if infl != nil && infl.g == g {
-			infl = infl.rebase(d)
-		} else {
-			infl = nil
-		}
+		gen.NoteApply(aig.NewDelta(g, gNew, am, lac.Targets(applied)), applied)
 	}
 
 	// measure evaluates a candidate LAC set's true error under the
@@ -479,11 +470,8 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 			var lIndp, lRand []*lac.LAC
 			if !params.DisableIndp {
 				sp = rec.StartPhase(round, obs.PhaseMIS)
-				if infl == nil || infl.g != g {
-					infl = newInfluenceIndex(g)
-				}
 				var ist indpStats
-				lIndp, ist = selectIndpLACs(lSol, infl, e, errBound, params)
+				lIndp, ist = selectIndpLACs(g, lSol, e, errBound, params)
 				rs.InflPairs, rs.InflAbove, rs.MISSize = ist.pairs, ist.above, ist.misSize
 				sp.End()
 			}
@@ -590,7 +578,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		runner.Release(simRes)
 		// One rebase per round, with the rebuild that actually produced
 		// gNew: the revert above overwrites applied and am before the
-		// caches ever see the discarded multi-LAC rebuild.
+		// cache ever sees the discarded multi-LAC rebuild.
 		if tracing {
 			tailT0 = time.Now()
 		}

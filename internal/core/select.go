@@ -2,11 +2,11 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
 	"accals/internal/aig"
-	"accals/internal/bitset"
 	"accals/internal/lac"
 	"accals/internal/mis"
 )
@@ -120,215 +120,114 @@ func BuildConflictGraph(lacs []*lac.LAC) *mis.Graph {
 	return g
 }
 
-// influenceIndex computes the paper's structural mutual-influence
-// index p_ji for the pair of target nodes (earlier, later) in
-// topological order: 1/d for the shortest directed path length d when
-// connected, otherwise the fractional overlap of transitive fanouts
-// |F(earlier) ∩ F(later)| / |F(later)|.
+// buildGSol builds SelectIndpLACs' graph G_sol over distinct target
+// nodes, one vertex per entry: an edge joins two targets whose
+// structural mutual-influence index p_ji exceeds tb. For the pair in
+// topological order (e < l), p_ji is 1/d when l lies in e's transitive
+// fanout at shortest directed distance d, and otherwise the overlap
+// |F(e) ∩ F(l)| / |F(l)| of their transitive fanouts (each including
+// its root). It returns the graph, the number of pairs scored and the
+// number of edges.
 //
-// The index is persistent across rounds of the incremental engine:
-// rebase carries it over an Apply, keeping the previous round's
-// distance vectors and fanout sets available for lazy translation into
-// the new graph's id space. A source whose transitive fanout was not
-// disturbed by the rebuild answers queries from the translated cache
-// instead of a fresh BFS.
-type influenceIndex struct {
-	g       *aig.Graph
-	fanouts [][]int
-	// dist caches, per source node, the BFS distance to every node in
-	// its transitive fanout (one single-source pass serves all pairs).
-	dist map[int][]int32
-	// tfo caches transitive fanout sets per node.
-	tfo map[int]*bitset.Set
-	// prev, when non-nil, holds the previous round's caches for lazy
-	// remapping (one generation only: a rebase drops its predecessor's
-	// un-queried entries).
-	prev *inflPrev
-}
-
-// inflPrev is the previous generation of an influenceIndex: the delta
-// connecting the two graphs, the old-space caches, and the set of
-// old-space sources whose cached vectors are stale.
-type inflPrev struct {
-	d    *aig.Delta
-	dist map[int][]int32
-	tfo  map[int]*bitset.Set
-	// contam marks old sources whose transitive fanout contains any
-	// node with changed out-edges (removed, merged, replaced, or
-	// gaining an edge to fresh logic); their vectors must be rebuilt.
-	contam *bitset.Set
-}
-
-// newInfluenceIndex prepares fanout lists for the graph.
-func newInfluenceIndex(g *aig.Graph) *influenceIndex {
-	return &influenceIndex{
-		g:       g,
-		fanouts: g.Fanouts(),
-		dist:    make(map[int][]int32),
-		tfo:     make(map[int]*bitset.Set),
+// Every edge is decided exactly, in one pass that computes each
+// target's fanout set once. A connected pair has 1/d > tb iff d is at
+// most a depth maxD fixed by tb, so a BFS from e bounded at maxD
+// replaces the distance vector; at the paper's t_b = 0.5, maxD = 1 and
+// l must be a direct fanout of e. For the other pairs the overlap has
+// at most |F(e)| elements and float division by |F(l)| is monotone,
+// so the popcount is skipped unless |F(e)|/|F(l)| exceeds tb; otherwise
+// it covers only the words both sets can share, since F(x) ⊆
+// [x, NumNodes) for topological ids.
+func buildGSol(g *aig.Graph, targets []int, tb float64) (gs *mis.Graph, pairs, above int) {
+	n := len(targets)
+	gs = mis.NewGraph(n)
+	fanouts := g.Fanouts()
+	nn := g.NumNodes()
+	w := (nn + 63) / 64
+	// Rows follow topological order: targets[ord[a]] < targets[ord[b]]
+	// for a < b.
+	ord := make([]int, n)
+	for i := range ord {
+		ord[i] = i
 	}
-}
-
-// rebase carries the index across the rebuild described by d (whose Old
-// must be the index's graph), returning an index for d.New that serves
-// undisturbed sources from the previous caches. Contamination is
-// old-space: a source is stale iff its transitive fanout contains a
-// node whose out-edges changed — a disturbed node itself (everything in
-// BadOld), the image of a structural-hash merge or replacement (it
-// gains the merged node's fanouts), or a fanin of a fresh node (it
-// gains an edge). The full transitive fanin of those nodes is exactly
-// the set of sources whose distance vectors or fanout sets can differ.
-func (x *influenceIndex) rebase(d *aig.Delta) *influenceIndex {
-	c := d.BadOld.Clone()
-	for ox := 1; ox < d.Old.NumNodes(); ox++ {
-		if d.Pure(ox) || d.M[ox].IsNone() {
-			continue
+	sort.Slice(ord, func(a, b int) bool { return targets[ord[a]] < targets[ord[b]] })
+	// Row a of slab is F(targets[ord[a]]) as a bit vector, with its
+	// size and the index of its last non-empty word.
+	slab := make([]uint64, n*w)
+	size := make([]int, n)
+	last := make([]int, n)
+	var stack []int
+	for a, v := range ord {
+		row := slab[a*w : (a+1)*w]
+		x := targets[v]
+		row[x>>6] |= 1 << (uint(x) & 63)
+		stack = append(stack[:0], x)
+		for len(stack) > 0 {
+			y := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, z := range fanouts[y] {
+				if bit := uint64(1) << (uint(z) & 63); row[z>>6]&bit == 0 {
+					row[z>>6] |= bit
+					stack = append(stack, z)
+				}
+			}
 		}
-		if p := d.Rev[d.M[ox].Node()]; p >= 0 {
-			c.Add(p)
-		}
-	}
-	for _, y := range d.FreshNew {
-		n := d.New.NodeAt(y)
-		for _, f := range [2]int{n.Fanin0.Node(), n.Fanin1.Node()} {
-			if p := d.Rev[f]; p >= 0 {
-				c.Add(p)
+		for i, word := range row {
+			if word != 0 {
+				size[a] += bits.OnesCount64(word)
+				last[a] = i
 			}
 		}
 	}
-	// Full backward closure: depth bound of NumNodes never binds.
-	contam := d.Old.TFIWithin(c, d.Old.NumNodes())
-	return &influenceIndex{
-		g:       d.New,
-		fanouts: d.New.Fanouts(),
-		dist:    make(map[int][]int32),
-		tfo:     make(map[int]*bitset.Set),
-		prev:    &inflPrev{d: d, dist: x.dist, tfo: x.tfo, contam: contam},
-	}
-}
 
-// remapDist translates the previous round's distance vector of src's
-// preimage into the new id space, or returns nil when src has no clean
-// cached vector. An uncontaminated source reaches only pure nodes, so
-// every finite distance survives verbatim; fresh nodes are unreachable
-// from it and stay at -1.
-func (x *influenceIndex) remapDist(src int) []int32 {
-	pv := x.prev
-	if pv == nil {
-		return nil
+	// maxD is the largest distance whose p_ji = 1/d exceeds tb, capped
+	// at nn: 1/float64(d) does not increase with d, so those distances
+	// are exactly 1..maxD (none when tb >= 1 or tb is NaN).
+	maxD := 0
+	for maxD < nn && 1/float64(maxD+1) > tb {
+		maxD++
 	}
-	p := pv.d.Rev[src]
-	if p < 0 || pv.contam.Has(p) {
-		return nil
-	}
-	pd, ok := pv.dist[p]
-	if !ok {
-		return nil
-	}
-	d := make([]int32, x.g.NumNodes())
-	for y := range d {
-		if q := pv.d.Rev[y]; q >= 0 {
-			d[y] = pd[q]
-		} else {
-			d[y] = -1
+	// ball holds the nodes at distance 1..maxD from the current e.
+	ball := make([]uint64, w)
+	var frontier, next []int
+	for a := 0; a < n; a++ {
+		e := targets[ord[a]]
+		re := slab[a*w : (a+1)*w]
+		clear(ball)
+		frontier = append(frontier[:0], e)
+		for d := 0; d < maxD && len(frontier) > 0; d++ {
+			next = next[:0]
+			for _, y := range frontier {
+				for _, z := range fanouts[y] {
+					if bit := uint64(1) << (uint(z) & 63); ball[z>>6]&bit == 0 {
+						ball[z>>6] |= bit
+						next = append(next, z)
+					}
+				}
+			}
+			frontier, next = next, frontier
 		}
-	}
-	return d
-}
-
-// remapTfo translates the previous round's fanout set of id's preimage
-// into the new id space, or returns nil when no clean cached set
-// exists.
-func (x *influenceIndex) remapTfo(id int) *bitset.Set {
-	pv := x.prev
-	if pv == nil {
-		return nil
-	}
-	p := pv.d.Rev[id]
-	if p < 0 || pv.contam.Has(p) {
-		return nil
-	}
-	ps, ok := pv.tfo[p]
-	if !ok {
-		return nil
-	}
-	s := bitset.New(x.g.NumNodes())
-	pure := true
-	ps.ForEach(func(ox int) {
-		if !pv.d.Pure(ox) {
-			pure = false
-			return
-		}
-		s.Add(pv.d.M[ox].Node())
-	})
-	if !pure {
-		// Defensive: an uncontaminated source cannot reach an impure
-		// node, but a stale vector must never be served.
-		return nil
-	}
-	return s
-}
-
-// distancesFrom returns (cached) BFS distances from src through fanout
-// edges; -1 marks unreachable nodes.
-func (x *influenceIndex) distancesFrom(src int) []int32 {
-	if d, ok := x.dist[src]; ok {
-		return d
-	}
-	if d := x.remapDist(src); d != nil {
-		x.dist[src] = d
-		return d
-	}
-	d := make([]int32, x.g.NumNodes())
-	for i := range d {
-		d[i] = -1
-	}
-	d[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range x.fanouts[v] {
-			if d[w] < 0 {
-				d[w] = d[v] + 1
-				queue = append(queue, w)
+		for b := a + 1; b < n; b++ {
+			l := targets[ord[b]]
+			bit := uint64(1) << (uint(l) & 63)
+			edge := false
+			if re[l>>6]&bit != 0 {
+				edge = ball[l>>6]&bit != 0
+			} else if float64(size[a])/float64(size[b]) > tb {
+				rl := slab[b*w : (b+1)*w]
+				inter := 0
+				for i := l >> 6; i <= min(last[a], last[b]); i++ {
+					inter += bits.OnesCount64(re[i] & rl[i])
+				}
+				edge = float64(inter)/float64(size[b]) > tb
+			}
+			if edge {
+				gs.AddEdge(ord[a], ord[b])
+				above++
 			}
 		}
 	}
-	x.dist[src] = d
-	return d
-}
-
-// tfoOf returns the (cached) transitive fanout set of node id.
-func (x *influenceIndex) tfoOf(id int) *bitset.Set {
-	if s, ok := x.tfo[id]; ok {
-		return s
-	}
-	if s := x.remapTfo(id); s != nil {
-		x.tfo[id] = s
-		return s
-	}
-	s := x.g.TFO(id, x.fanouts)
-	x.tfo[id] = s
-	return s
-}
-
-// pji returns the index for target nodes ni and nj of two LACs.
-func (x *influenceIndex) pji(a, b int) float64 {
-	earlier, later := a, b
-	if earlier > later {
-		earlier, later = later, earlier
-	}
-	if d := x.distancesFrom(earlier)[later]; d > 0 {
-		return 1 / float64(d)
-	}
-	fe := x.tfoOf(earlier)
-	fl := x.tfoOf(later)
-	den := fl.Count()
-	if den == 0 {
-		return 0
-	}
-	return float64(fe.IntersectCount(fl)) / float64(den)
+	return gs, n * (n - 1) / 2, above
 }
 
 // indpStats surfaces SelectIndpLACs' intermediate sizes for the round
@@ -343,23 +242,15 @@ type indpStats struct {
 // graph G_sol over target nodes with edges where p_ji > t_b, solve an
 // MIS to obtain N_indp, and pick the final independent LAC set from
 // the potential set L_pote under the r_sel / λ·e_b budget.
-func selectIndpLACs(lSol []*lac.LAC, idx *influenceIndex, e, eb float64, p Params) ([]*lac.LAC, indpStats) {
+func selectIndpLACs(g *aig.Graph, lSol []*lac.LAC, e, eb float64, p Params) ([]*lac.LAC, indpStats) {
 	var st indpStats
 	if len(lSol) == 0 {
 		return nil, st
 	}
-	// Build G_sol. After conflict resolution every LAC has a unique
-	// target, so vertices map 1:1 to lSol entries.
-	gs := mis.NewGraph(len(lSol))
-	for i := 0; i < len(lSol); i++ {
-		for j := i + 1; j < len(lSol); j++ {
-			st.pairs++
-			if idx.pji(lSol[i].Target, lSol[j].Target) > p.TB {
-				gs.AddEdge(i, j)
-				st.above++
-			}
-		}
-	}
+	// After conflict resolution every LAC has a unique target, so
+	// G_sol's vertices map 1:1 to lSol entries.
+	gs, pairs, above := buildGSol(g, lac.Targets(lSol), p.TB)
+	st.pairs, st.above = pairs, above
 	nIndp := mis.Solve(gs, p.Seed)
 	st.misSize = len(nIndp)
 

@@ -1,11 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
 	"accals/internal/aig"
+	"accals/internal/circuits"
+	"accals/internal/errmetric"
+	"accals/internal/estimator"
 	"accals/internal/lac"
+	"accals/internal/simulate"
 )
 
 // mkLAC fabricates a LAC with explicit ids and estimated error.
@@ -159,6 +165,188 @@ func TestSelectRandomLACsBounds(t *testing.T) {
 	}
 }
 
+// refPji is the structural mutual-influence index p_ji of Section
+// II-D computed from its definition, with nothing cached: for target
+// nodes a and b taken in topological order (earlier, later), 1/d for
+// the shortest directed path length d from earlier to later when one
+// exists, otherwise the fractional overlap of transitive fanouts
+// |F(earlier) ∩ F(later)| / |F(later)|.
+func refPji(g *aig.Graph, fanouts [][]int, a, b int) float64 {
+	earlier, later := min(a, b), max(a, b)
+	dist := make([]int32, g.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[earlier] = 0
+	queue := []int{earlier}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range fanouts[v] {
+			if dist[w] < 0 {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	if d := dist[later]; d > 0 {
+		return 1 / float64(d)
+	}
+	fe := g.TFO(earlier, fanouts)
+	fl := g.TFO(later, fanouts)
+	den := fl.Count()
+	if den == 0 {
+		return 0
+	}
+	return float64(fe.IntersectCount(fl)) / float64(den)
+}
+
+// refPjiMatrix scores every pair i < j of targets with refPji.
+func refPjiMatrix(g *aig.Graph, targets []int) [][]float64 {
+	fanouts := g.Fanouts()
+	p := make([][]float64, len(targets))
+	for i := range targets {
+		p[i] = make([]float64, len(targets))
+		for j := i + 1; j < len(targets); j++ {
+			p[i][j] = refPji(g, fanouts, targets[i], targets[j])
+		}
+	}
+	return p
+}
+
+// checkGSol fails t unless buildGSol's graph has exactly the edges
+// {i, j} with p[i][j] > tb, and its pair and edge counts match.
+func checkGSol(t *testing.T, g *aig.Graph, targets []int, p [][]float64, tb float64) {
+	t.Helper()
+	gs, pairs, above := buildGSol(g, targets, tb)
+	n := len(targets)
+	if pairs != n*(n-1)/2 {
+		t.Fatalf("tb=%v n=%d: pairs = %d, want %d", tb, n, pairs, n*(n-1)/2)
+	}
+	want := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edge := p[i][j] > tb
+			if edge {
+				want++
+			}
+			if gs.HasEdge(i, j) != edge || gs.HasEdge(j, i) != edge {
+				t.Fatalf("tb=%v n=%d: edge (%d, %d) = %v, want %v (p_ji = %v)",
+					tb, n, targets[i], targets[j], gs.HasEdge(i, j), edge, p[i][j])
+			}
+		}
+	}
+	if above != want || gs.NumEdges() != want {
+		t.Fatalf("tb=%v n=%d: above = %d, NumEdges = %d, want %d", tb, n, above, gs.NumEdges(), want)
+	}
+}
+
+// andIDs returns g's AND node ids in a seeded random order.
+func andIDs(g *aig.Graph, seed int64) []int {
+	var ids []int
+	for id := 0; id < g.NumNodes(); id++ {
+		if g.IsAnd(id) {
+			ids = append(ids, id)
+		}
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	return ids
+}
+
+func TestGSolMatchesReference(t *testing.T) {
+	// A 150-AND chain has connected pairs farther apart than half its
+	// node count, which only a t_b <= 0 BFS bound reaches.
+	chain := aig.New("chain")
+	x, b := chain.AddPI("a"), chain.AddPI("b")
+	for i := 0; i < 150; i++ {
+		x = chain.And(x, b)
+	}
+	chain.AddPO(x, "x")
+	circs := []struct {
+		name string
+		g    *aig.Graph
+	}{
+		{"mult5", circuits.ArrayMult(5)},
+		{"sin7", circuits.SinCordic(7, 5)},
+		{"c880", circuits.C880()},
+		{"rand", circuits.RandomLogic("rand", 16, 8, 600, 3)},
+		{"chain", chain},
+	}
+	tbs := []float64{-1, 0.1, 0.2, 0.25, 1.0 / 3, 0.34, 0.5, 0.9, 1, 1.5}
+	for ci, c := range circs {
+		t.Run(c.name, func(t *testing.T) {
+			// Unsorted targets, as L_sol lists them by ΔE. Each subset is
+			// a prefix of one list, so one matrix serves them all.
+			ids := andIDs(c.g, int64(ci))
+			ids = ids[:min(300, len(ids))]
+			p := refPjiMatrix(c.g, ids)
+			for _, n := range []int{2, 3, 31, 63, 64, 65, 129, 300} {
+				for _, tb := range tbs {
+					checkGSol(t, c.g, ids[:min(n, len(ids))], p, tb)
+				}
+			}
+		})
+	}
+}
+
+func FuzzGSolMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(120), []byte{0xff, 0x0f, 0xa5, 0x3c}, math.Float64bits(0.5))
+	f.Add(int64(2), uint16(250), bytes.Repeat([]byte{0x5b}, 17), math.Float64bits(1.0/3))
+	f.Add(int64(3), uint16(90), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, math.Float64bits(0))
+	f.Add(int64(4), uint16(60), []byte{0xee, 0x77}, math.Float64bits(math.Inf(1)))
+	f.Add(int64(5), uint16(60), []byte{0xee, 0x77}, math.Float64bits(math.Inf(-1)))
+	f.Add(int64(6), uint16(60), []byte{0xee, 0x77}, math.Float64bits(math.NaN()))
+	f.Add(int64(7), uint16(200), bytes.Repeat([]byte{0xd7}, 12), math.Float64bits(math.SmallestNonzeroFloat64))
+	f.Fuzz(func(t *testing.T, seed int64, ands uint16, mask []byte, tbBits uint64) {
+		// A 17-byte mask (at most 136 targets) keeps each input fast and
+		// still covers G_sol sizes on both sides of 64.
+		if len(mask) > 17 {
+			mask = mask[:17]
+		}
+		g := circuits.RandomLogic("fuzz", 6, 3, 2+int(ands%300), seed)
+		var targets []int
+		for k, id := range andIDs(g, seed) {
+			if k < 8*len(mask) && mask[k>>3]&(1<<(k&7)) != 0 {
+				targets = append(targets, id)
+			}
+		}
+		checkGSol(t, g, targets, refPjiMatrix(g, targets), math.Float64frombits(tbBits))
+	})
+}
+
+// BenchmarkSelectIndp times SelectIndpLACs (G_sol construction plus
+// the MIS solve) on a fixed L_sol: the first round of sin under ER
+// 0.1%, whose minimum-ΔE ties make L_sol far larger than r_ref. Set-up
+// (simulation, generation, estimation, conflict resolution) runs
+// before the timer starts.
+func BenchmarkSelectIndp(b *testing.B) {
+	g, err := circuits.ByName("sin")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const eb = 0.001
+	opt := Options{NumPatterns: 8192}
+	pats := opt.Patterns(g)
+	cmp := errmetric.NewComparator(errmetric.ER, g, pats)
+	simRes, err := simulate.NewRunner(1).Run(g, pats)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands := lac.Generate(g, simRes, lac.Config{})
+	opt.estimate(estimator.New(1), g, simRes, cmp, cands)
+	sortByDeltaE(cands)
+	params := Params{}.fillDefaults(g.NumAnds())
+	lSol, _, _ := findSolveLACConf(obtainTopSet(cands, 0, eb, params.RRef))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st indpStats
+	for i := 0; i < b.N; i++ {
+		_, st = selectIndpLACs(g, lSol, 0, eb, params)
+	}
+	b.ReportMetric(float64(st.pairs), "pairs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.pairs), "ns/pair")
+}
+
 func TestInfluenceIndex(t *testing.T) {
 	// Chain: a -> x -> y -> z, plus w off to the side sharing z.
 	g := aig.New("t")
@@ -170,18 +358,26 @@ func TestInfluenceIndex(t *testing.T) {
 	z := g.And(y, a)
 	g.AddPO(z, "z")
 
-	idx := newInfluenceIndex(g)
+	fanouts := g.Fanouts()
 	// Direct fanin-fanout pairs: distance 1 -> p = 1.
-	if p := idx.pji(x.Node(), y.Node()); p != 1 {
+	if p := refPji(g, fanouts, x.Node(), y.Node()); p != 1 {
 		t.Errorf("p(x,y) = %g, want 1", p)
 	}
 	// Two hops: p = 0.5.
-	if p := idx.pji(x.Node(), z.Node()); p != 0.5 {
+	if p := refPji(g, fanouts, x.Node(), z.Node()); p != 0.5 {
 		t.Errorf("p(x,z) = %g, want 0.5", p)
 	}
 	// Symmetric in argument order.
-	if idx.pji(y.Node(), x.Node()) != idx.pji(x.Node(), y.Node()) {
-		t.Error("pji not order-insensitive")
+	if refPji(g, fanouts, y.Node(), x.Node()) != refPji(g, fanouts, x.Node(), y.Node()) {
+		t.Error("refPji not order-insensitive")
+	}
+	// buildGSol joins x and z exactly when 0.5 exceeds t_b.
+	targets := []int{z.Node(), x.Node()}
+	if gs, _, _ := buildGSol(g, targets, 0.49); !gs.HasEdge(0, 1) {
+		t.Error("t_b=0.49: missing x-z chain edge")
+	}
+	if gs, _, above := buildGSol(g, targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
+		t.Error("t_b=0.5: unexpected x-z chain edge")
 	}
 }
 
@@ -198,9 +394,15 @@ func TestInfluenceIndexDisconnected(t *testing.T) {
 	y := g.And(x1, x2)
 	g.AddPO(y, "y")
 
-	idx := newInfluenceIndex(g)
-	if p := idx.pji(x1.Node(), x2.Node()); p != 0.5 {
+	if p := refPji(g, g.Fanouts(), x1.Node(), x2.Node()); p != 0.5 {
 		t.Errorf("p(x1,x2) = %g, want 0.5", p)
+	}
+	targets := []int{x1.Node(), x2.Node()}
+	if gs, _, _ := buildGSol(g, targets, 0.49); !gs.HasEdge(0, 1) {
+		t.Error("t_b=0.49: missing shared-fanout edge")
+	}
+	if gs, _, above := buildGSol(g, targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
+		t.Error("t_b=0.5: unexpected shared-fanout edge")
 	}
 }
 

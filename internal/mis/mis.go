@@ -1,10 +1,13 @@
-// Package mis provides maximum independent set solvers for the small
-// graphs AccALS builds over candidate LACs. It stands in for the KaMIS
-// tool used by the paper: the graphs here have at most a few hundred
-// vertices (bounded by the top-LAC set size), where a greedy
-// construction refined by (1,2)-swap local search is near-optimal. An
-// exact branch-and-bound solver handles graphs of up to 64 vertices
-// and is used in tests to validate the heuristic.
+// Package mis provides maximum independent set solvers for the graphs
+// AccALS builds over candidate LACs. It stands in for the KaMIS tool
+// used by the paper. The graphs have one vertex per LAC of a
+// conflict-free subset of the top set, whose size Eq. (2) bounds by
+// max(r_ref, r_min): when many candidates tie at the minimum error
+// increase, r_min can put well over a thousand vertices there (over
+// 1500 on the EPFL sin circuit under a 0.1% error-rate bound). Graphs
+// above 64 vertices take a greedy construction refined by (1,2)-swap
+// local search; an exact branch-and-bound solver handles graphs of up
+// to 64 vertices and is used in tests to validate the heuristic.
 package mis
 
 import (

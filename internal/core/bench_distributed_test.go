@@ -44,7 +44,7 @@ func startBenchEvaluators(tb testing.TB, n, workers int) []string {
 
 // benchDistRun runs the BenchmarkRoundParallel workload — ArrayMult(6),
 // ER bound 0.02, 8192 patterns, 8 rounds, so the rounds/s numbers are
-// directly comparable to BENCH_parallel.json — with an optional
+// directly comparable to that benchmark's — with an optional
 // evaluator pool layered on.
 func benchDistRun(tb testing.TB, workers int, addrs []string, rec *obs.Recorder) *Result {
 	g := circuits.ArrayMult(6)
@@ -141,7 +141,7 @@ func TestDistributedBenchReport(t *testing.T) {
 	}
 
 	doc := map[string]any{
-		"note": "Distributed candidate evaluation layered on the BenchmarkRoundParallel workload (ArrayMult(6), ER bound 0.02, 8192 patterns, 8 rounds, workers=4) so rounds/s is directly comparable to BENCH_parallel.json. baseline = plain workers=4; evaluators=4 adds four in-process dispatch servers. On a host with few CPUs the loopback RPCs only add contention and wire overhead, so speedups below 1 measure the overhead bound there. Both modes are bit-identical in output; only timing differs.",
+		"note": "Distributed candidate evaluation layered on the BenchmarkRoundParallel workload (ArrayMult(6), ER bound 0.02, 8192 patterns, 8 rounds, workers=4) so rounds/s is directly comparable to BenchmarkRoundParallel. baseline = plain workers=4; evaluators=4 adds four in-process dispatch servers. On a host with few CPUs the loopback RPCs only add contention and wire overhead, so speedups below 1 measure the overhead bound there. Both modes are bit-identical in output; only timing differs.",
 		"host": map[string]any{
 			"goos":       runtime.GOOS,
 			"goarch":     runtime.GOARCH,

@@ -11,8 +11,9 @@ import (
 // BenchmarkRoundParallel measures whole-flow round throughput at
 // several worker counts: each iteration runs a bounded synthesis
 // (simulate → generate → estimate → select → duel-measure → apply) and
-// reports rounds/sec. This is the tentpole's headline number; the
-// recorded baseline-vs-parallel figures live in BENCH_parallel.json.
+// reports rounds/sec. It is a quick check of worker scaling; recorded
+// performance figures come from the synthbench harness
+// (bash synthbench/run.sh), the repository's one benchmark.
 func BenchmarkRoundParallel(b *testing.B) {
 	g := circuits.ArrayMult(6)
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -382,49 +382,69 @@ func (c *Comparator) contribution(av, ev uint64) float64 {
 // Monte-Carlo sample sizes.
 const flipSampleBudget = 16384
 
+// targetChunk is the most candidates one kernel pass scores. ScoreTarget
+// splits a larger group into chunks, so the per-candidate accumulators
+// fit in fixed-size stack arrays.
+const targetChunk = 64
+
 // ErrorWithFlips returns the error of base XOR flips (flip[j] may be
 // nil), touching only flipped patterns. It must only be used with the
 // mean word-level metrics (NMED/MRED): MaxED uses MaxErrorWithFlips.
-// The ER estimator has its own batched fast path. It is ScoreFlips
-// without a deviation mask.
+// The ER estimator has its own batched fast path. It is the
+// one-candidate ScoreTarget call without a deviation mask.
 func (c *Comparator) ErrorWithFlips(b *BaseEval, flips []simulate.Vec) float64 {
 	if c.kind != NMED && c.kind != MRED {
 		panic("errmetric: ErrorWithFlips requires a mean word-level metric (NMED/MRED)")
 	}
-	return c.ScoreFlips(b, flips, nil)
+	return c.scoreOne(b, flips)
 }
 
 // MaxErrorWithFlips returns the MaxED of base XOR flips (flip[j] may
-// be nil). It is ScoreFlips without a deviation mask.
+// be nil). It is the one-candidate ScoreTarget call without a
+// deviation mask.
 func (c *Comparator) MaxErrorWithFlips(b *BaseEval, flips []simulate.Vec) float64 {
 	if c.kind != MaxED {
 		panic("errmetric: MaxErrorWithFlips requires the MaxED metric")
 	}
-	return c.ScoreFlips(b, flips, nil)
+	return c.scoreOne(b, flips)
 }
 
-// ScoreFlips returns the word-level error (NMED, MRED or MaxED) of the
-// base circuit with output j flipped on the patterns in masks[j] & dev,
-// where masks[j] may be nil (output j never flips) and a nil dev masks
-// nothing. The estimator passes a candidate's propagation masks per
-// output and its deviation mask, so no per-candidate flip vector is
-// ever built. Bits past the last pattern are ignored. It allocates
-// nothing and only reads b, so concurrent calls on one BaseEval are
-// safe.
+// scoreOne scores a single candidate that flips masks[j] on output j.
+func (c *Comparator) scoreOne(b *BaseEval, masks []simulate.Vec) float64 {
+	var out [1]float64
+	c.ScoreTarget(b, masks, []simulate.Vec{nil}, out[:])
+	return out[0]
+}
+
+// ScoreTarget scores every candidate that shares one target's output
+// masks. out[k] receives the word-level error (NMED, MRED or MaxED) of
+// the base circuit with output j flipped on the patterns in
+// masks[j] & devs[k], where masks[j] may be nil (output j never flips)
+// and a nil devs[k] masks nothing; out must be as long as devs. The
+// estimator passes a target's propagation masks per output and the
+// deviation masks of the candidates on that target, so no
+// per-candidate flip vector is ever built. Bits past the last pattern
+// are ignored. It allocates nothing and only reads b, masks and devs,
+// so concurrent calls on one BaseEval are safe.
 //
-// The kernel works word by word: it scatters the word's flipped bits
-// into a 64-entry per-pattern flip array, then visits the changed
-// patterns in ascending order. The mean metrics add
-// contribution(new) − contribution(base) per changed pattern, reading
-// the base side from BaseEval, and fall back to a strided word sample
-// above flipSampleBudget changed patterns. MaxED cannot be updated
-// with a sum delta, so it max-merges instead: untouched words
-// contribute their cached base maximum, and of a touched word only the
-// changed patterns are re-walked, plus the unchanged ones when the
-// word's cached maximum could still raise the running maximum.
-func (c *Comparator) ScoreFlips(b *BaseEval, masks []simulate.Vec, dev simulate.Vec) float64 {
+// The kernel works word by word. It scatters the target's flipped
+// output bits into a 64-entry per-pattern flip array once, restricted
+// to the union of the candidates' deviation masks, and computes each
+// changed pattern's term once: contribution(new) − contribution(base)
+// for the mean metrics, reading the base side from BaseEval, or the
+// new error distance for MaxED. Each candidate then takes the terms of
+// its own changed patterns in ascending order, so its score is the one
+// a per-candidate pass would compute, float operation for float
+// operation. The mean metrics fall back to a strided word sample for a
+// candidate with more than flipSampleBudget changed patterns. MaxED
+// cannot be updated with a sum delta, so it max-merges instead:
+// untouched words contribute their cached base maximum, and of a
+// touched word only the candidate's changed patterns are re-walked,
+// plus its unchanged ones when the word's cached maximum could still
+// raise that candidate's running maximum.
+func (c *Comparator) ScoreTarget(b *BaseEval, masks, devs []simulate.Vec, out []float64) {
 	if !c.kind.IsWordLevel() {
-		panic("errmetric: ScoreFlips requires a word-level metric (NMED/MRED/MaxED)")
+		panic("errmetric: ScoreTarget requires a word-level metric (NMED/MRED/MaxED)")
 	}
 	// live holds one bit per output that can flip (at most 63 outputs).
 	var live uint64
@@ -433,105 +453,162 @@ func (c *Comparator) ScoreFlips(b *BaseEval, masks []simulate.Vec, dev simulate.
 			live |= 1 << uint(j)
 		}
 	}
-	if live == 0 {
-		return b.Err
+	for k0 := 0; k0 < len(devs); k0 += targetChunk {
+		k1 := min(k0+targetChunk, len(devs))
+		switch {
+		case live == 0:
+			for k := k0; k < k1; k++ {
+				out[k] = b.Err
+			}
+		case c.kind == MaxED:
+			c.maxTarget(b, masks, devs[k0:k1], out[k0:k1], live)
+		default:
+			c.meanTarget(b, masks, devs[k0:k1], out[k0:k1], live)
+		}
 	}
-	if c.kind == MaxED {
-		return c.maxWithFlips(b, masks, dev, live)
-	}
-	return c.meanWithFlips(b, masks, dev, live)
 }
 
-// meanWithFlips is ScoreFlips for NMED and MRED.
-func (c *Comparator) meanWithFlips(b *BaseEval, masks []simulate.Vec, dev simulate.Vec, live uint64) float64 {
+// meanTarget is ScoreTarget for NMED and MRED on at most targetChunk
+// candidates.
+func (c *Comparator) meanTarget(b *BaseEval, masks, devs []simulate.Vec, out []float64, live uint64) {
 	n := c.patterns.NumPatterns()
 	words := c.patterns.Words()
-	// The changed-pattern count decides the sampling stride. It can
-	// exceed the budget only on pattern sets larger than the budget;
-	// smaller sets count it during the scoring pass itself.
-	total, stride := -1, 1
-	if n > flipSampleBudget {
-		total = 0
+	// Candidate k visits the words 0, stride[k], 2*stride[k], ..., the
+	// next of them being next[k]. Its changed-pattern count decides the
+	// stride. The count can exceed the budget only on pattern sets
+	// larger than the budget; smaller sets count it during the scoring
+	// pass itself.
+	var total, stride, next, sampled [targetChunk]int
+	var delta [targetChunk]float64
+	for k := range devs {
+		stride[k] = 1
+	}
+	counted := n > flipSampleBudget
+	if counted {
 		for w := 0; w < words; w++ {
-			total += bits.OnesCount64(c.flipWord(nil, masks, dev, live, w))
+			var flips uint64
+			for l := live; l != 0; l &= l - 1 {
+				flips |= masks[bits.TrailingZeros64(l)][w]
+			}
+			if w == words-1 {
+				flips &= c.patterns.LastMask()
+			}
+			for k, dv := range devs {
+				total[k] += bits.OnesCount64(flips & devWord(dv, w))
+			}
 		}
-		if total > flipSampleBudget {
-			stride = (total + flipSampleBudget - 1) / flipSampleBudget
+		for k := range devs {
+			if total[k] > flipSampleBudget {
+				stride[k] = (total[k] + flipSampleBudget - 1) / flipSampleBudget
+			}
 		}
 	}
 	var flip [64]uint64
-	delta := 0.0
-	sampled := 0
-	for w := 0; w < words; w += stride {
-		m := c.flipWord(&flip, masks, dev, live, w)
-		sampled += bits.OnesCount64(m)
-		for ; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			pat := w<<6 + i
-			av := b.Vals[pat] ^ flip[i]
-			flip[i] = 0
-			delta += c.contribution(av, c.exactVals[pat]) - b.contrib[pat]
+	var term [64]float64
+	for w := 0; w < words; w++ {
+		var sel uint64
+		for k, dv := range devs {
+			if next[k] == w {
+				sel |= devWord(dv, w)
+			}
 		}
-	}
-	if sampled == 0 {
-		return b.Err
-	}
-	if total < 0 {
-		total = sampled
-	}
-	delta *= float64(total) / float64(sampled)
-	return b.Err + delta/float64(n)
-}
-
-// maxWithFlips is ScoreFlips for MaxED.
-func (c *Comparator) maxWithFlips(b *BaseEval, masks []simulate.Vec, dev simulate.Vec, live uint64) float64 {
-	var flip [64]uint64
-	var g uint64
-	for w := range b.wordMax {
-		m := c.flipWord(&flip, masks, dev, live, w)
-		if m == 0 {
-			g = max(g, b.wordMax[w])
-			continue
-		}
-		for x := m; x != 0; x &= x - 1 {
+		changed := c.scatter(&flip, masks, live, sel, w)
+		for x := changed; x != 0; x &= x - 1 {
 			i := bits.TrailingZeros64(x)
 			pat := w<<6 + i
-			av := b.Vals[pat] ^ flip[i]
+			term[i] = c.contribution(b.Vals[pat]^flip[i], c.exactVals[pat]) - b.contrib[pat]
 			flip[i] = 0
-			g = max(g, absDiff(av, c.exactVals[pat]))
 		}
-		if b.wordMax[w] > g {
-			g = max(g, c.wordMaxDiff(b.Vals, w, ^m))
+		for k, dv := range devs {
+			if next[k] != w {
+				continue
+			}
+			next[k] += stride[k]
+			m := changed & devWord(dv, w)
+			sampled[k] += bits.OnesCount64(m)
+			d := delta[k]
+			for ; m != 0; m &= m - 1 {
+				d += term[bits.TrailingZeros64(m)]
+			}
+			delta[k] = d
 		}
 	}
-	return float64(g)
+	for k := range devs {
+		if sampled[k] == 0 {
+			out[k] = b.Err
+			continue
+		}
+		t := sampled[k]
+		if counted {
+			t = total[k]
+		}
+		d := delta[k] * (float64(t) / float64(sampled[k]))
+		out[k] = b.Err + d/float64(n)
+	}
 }
 
-// flipWord returns the mask of word w's patterns on which some output
-// flips: the union over live outputs j of masks[j][w] & dev[w],
-// restricted to real patterns. A non-nil flip also gets 1<<j ORed into
-// flip[i] for every output j that flips at bit i; callers clear each
-// entry they read, so flip is all zero between words.
-func (c *Comparator) flipWord(flip *[64]uint64, masks []simulate.Vec, dev simulate.Vec, live uint64, w int) uint64 {
-	keep := ^uint64(0)
-	if dev != nil {
-		keep = dev[w]
+// maxTarget is ScoreTarget for MaxED on at most targetChunk candidates.
+func (c *Comparator) maxTarget(b *BaseEval, masks, devs []simulate.Vec, out []float64, live uint64) {
+	var g [targetChunk]uint64
+	var flip, dist [64]uint64
+	for w := range b.wordMax {
+		var sel uint64
+		for _, dv := range devs {
+			sel |= devWord(dv, w)
+		}
+		changed := c.scatter(&flip, masks, live, sel, w)
+		for x := changed; x != 0; x &= x - 1 {
+			i := bits.TrailingZeros64(x)
+			pat := w<<6 + i
+			dist[i] = absDiff(b.Vals[pat]^flip[i], c.exactVals[pat])
+			flip[i] = 0
+		}
+		for k, dv := range devs {
+			m := changed & devWord(dv, w)
+			if m == 0 {
+				g[k] = max(g[k], b.wordMax[w])
+				continue
+			}
+			for x := m; x != 0; x &= x - 1 {
+				g[k] = max(g[k], dist[bits.TrailingZeros64(x)])
+			}
+			if b.wordMax[w] > g[k] {
+				g[k] = max(g[k], c.wordMaxDiff(b.Vals, w, ^m))
+			}
+		}
 	}
+	for k := range devs {
+		out[k] = float64(g[k])
+	}
+}
+
+// devWord returns word w of a deviation mask, all ones for a nil mask.
+func devWord(dv simulate.Vec, w int) uint64 {
+	if dv == nil {
+		return ^uint64(0)
+	}
+	return dv[w]
+}
+
+// scatter returns the mask of word w's patterns in sel on which some
+// live output flips: the union over live outputs j of masks[j][w] &
+// sel, restricted to real patterns. It also ORs 1<<j into flip[i] for
+// every output j that flips at bit i; callers clear each entry they
+// read, so flip is all zero between words.
+func (c *Comparator) scatter(flip *[64]uint64, masks []simulate.Vec, live, sel uint64, w int) uint64 {
 	if w == c.patterns.Words()-1 {
-		keep &= c.patterns.LastMask()
+		sel &= c.patterns.LastMask()
 	}
-	if keep == 0 {
+	if sel == 0 {
 		return 0
 	}
 	var changed uint64
 	for l := live; l != 0; l &= l - 1 {
 		j := bits.TrailingZeros64(l)
-		x := masks[j][w] & keep
+		x := masks[j][w] & sel
 		changed |= x
-		if flip != nil {
-			for ; x != 0; x &= x - 1 {
-				flip[bits.TrailingZeros64(x)] |= 1 << uint(j)
-			}
+		for ; x != 0; x &= x - 1 {
+			flip[bits.TrailingZeros64(x)] |= 1 << uint(j)
 		}
 	}
 	return changed

@@ -1,6 +1,8 @@
 package errmetric
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -10,8 +12,8 @@ import (
 	"accals/internal/simulate"
 )
 
-// refErrorWithFlips is the per-pattern ErrorWithFlips that ScoreFlips
-// replaced, kept as the bit-identity oracle for the kernel. It gathers
+// refErrorWithFlips is the per-pattern ErrorWithFlips that the scoring
+// kernel replaced, kept as the bit-identity oracle for the kernel. It gathers
 // each changed pattern's flipped bits output by output.
 func refErrorWithFlips(c *Comparator, b *BaseEval, flips []simulate.Vec) float64 {
 	var fj []int
@@ -68,8 +70,8 @@ func refErrorWithFlips(c *Comparator, b *BaseEval, flips []simulate.Vec) float64
 	return b.Err + delta/float64(c.patterns.NumPatterns())
 }
 
-// refMaxErrorWithFlips is the per-pattern MaxErrorWithFlips that
-// ScoreFlips replaced: every word a flip touches is re-walked whole.
+// refMaxErrorWithFlips is the per-pattern MaxErrorWithFlips that the
+// scoring kernel replaced: every word a flip touches is re-walked whole.
 func refMaxErrorWithFlips(c *Comparator, b *BaseEval, flips []simulate.Vec) float64 {
 	var fj []int
 	for j, f := range flips {
@@ -148,8 +150,10 @@ func randomVec(p *simulate.Patterns, rng *rand.Rand, density int) simulate.Vec {
 	return v
 }
 
-// andVecs returns masks[j] & dev per output, nil where masks[j] is nil.
-func andVecs(masks []simulate.Vec, dev simulate.Vec) []simulate.Vec {
+// andVecs returns masks[j] & dev per output over p's real patterns,
+// nil where masks[j] is nil; a nil dev masks nothing. This is the flip
+// set ScoreTarget scores for one candidate.
+func andVecs(p *simulate.Patterns, masks []simulate.Vec, dev simulate.Vec) []simulate.Vec {
 	out := make([]simulate.Vec, len(masks))
 	for j, m := range masks {
 		if m == nil {
@@ -157,63 +161,137 @@ func andVecs(masks []simulate.Vec, dev simulate.Vec) []simulate.Vec {
 		}
 		out[j] = make(simulate.Vec, len(m))
 		for w := range m {
-			out[j][w] = m[w] & dev[w]
+			out[j][w] = m[w]
+			if dev != nil {
+				out[j][w] &= dev[w]
+			}
 		}
+		out[j][len(m)-1] &= p.LastMask()
 	}
 	return out
 }
 
+// setTail sets every bit of v past p's last pattern.
+func setTail(p *simulate.Patterns, v simulate.Vec) {
+	if v != nil {
+		v[len(v)-1] |= ^p.LastMask()
+	}
+}
+
+// refScore is the per-pattern reference scorer for the comparator's
+// metric.
+func refScore(c *Comparator) func(*Comparator, *BaseEval, []simulate.Vec) float64 {
+	if c.kind == MaxED {
+		return refMaxErrorWithFlips
+	}
+	return refErrorWithFlips
+}
+
+// checkTarget scores devs against masks in one ScoreTarget call and
+// checks every result against the reference on masks AND devs[k], bit
+// for bit.
+func checkTarget(t *testing.T, c *Comparator, b *BaseEval, masks, devs []simulate.Vec, what string) {
+	t.Helper()
+	out := make([]float64, len(devs))
+	c.ScoreTarget(b, masks, devs, out)
+	ref := refScore(c)
+	for k, dev := range devs {
+		if want := ref(c, b, andVecs(c.patterns, masks, dev)); math.Float64bits(out[k]) != math.Float64bits(want) {
+			t.Fatalf("%s, candidate %d of %d: kernel %v, reference %v", what, k, len(devs), out[k], want)
+		}
+	}
+}
+
+// sampleStride returns the sampling stride the mean metrics take on a
+// flip set.
+func sampleStride(flips []simulate.Vec) int {
+	if changed := countChanged(flips); changed > flipSampleBudget {
+		return (changed + flipSampleBudget - 1) / flipSampleBudget
+	}
+	return 1
+}
+
 // TestScoreFlipsMatchesReference is the kernel's bit-identity oracle:
-// on random bases, flips and deviation masks, ScoreFlips and its
-// ErrorWithFlips/MaxErrorWithFlips wrappers return exactly the
+// on random bases and target masks, each trial scores 1 to 8
+// deviation masks in one ScoreTarget call, and every result, like the
+// ErrorWithFlips/MaxErrorWithFlips wrappers, returns exactly the
 // per-pattern reference's float64 bits for NMED, MRED and MaxED. The
-// 40000-pattern sets take the mean metrics' sampling stride. The base
-// error the kernel starts from, which NewBaseEval sums from its cached
-// contributions, must match ErrorFromPOs bit for bit too.
+// trials cover a target whose masks are all nil, all-zero and nil
+// deviation masks, and flip bits past the last pattern. The
+// 40000-pattern sets take the mean metrics' sampling stride, with
+// different strides for candidates of one target. The base error the
+// kernel starts from, which NewBaseEval sums from its cached
+// contributions, must match ErrorFromPOs bit for bit too. A last call
+// per set scores more candidates than one kernel chunk holds.
 func TestScoreFlipsMatchesReference(t *testing.T) {
 	g := circuits.ArrayMult(4)
 	for _, n := range []int{64, 1000, 8192, 40000} {
 		p := simulate.Random(g.NumPIs(), n, int64(n))
-		strided := false
+		strided, mixed := false, false
 		for _, kind := range []Kind{NMED, MRED, MaxED} {
 			cmp := NewComparator(kind, g, p)
 			rng := rand.New(rand.NewSource(int64(n) + int64(kind)))
-			ref := refErrorWithFlips
 			wrapper := cmp.ErrorWithFlips
 			if kind == MaxED {
-				ref, wrapper = refMaxErrorWithFlips, cmp.MaxErrorWithFlips
+				wrapper = cmp.MaxErrorWithFlips
 			}
+			var b *BaseEval
+			var masks []simulate.Vec
 			for trial := 0; trial < 12; trial++ {
 				base := noisyPOs(cmp.ExactPOs(), rng)
 				for _, v := range base {
 					v[len(v)-1] &= p.LastMask()
 				}
-				b := cmp.NewBaseEval(base)
+				b = cmp.NewBaseEval(base)
 				if want := cmp.ErrorFromPOs(base); math.Float64bits(b.Err) != math.Float64bits(want) {
 					t.Fatalf("n=%d %v trial %d: NewBaseEval error %v, ErrorFromPOs %v", n, kind, trial, b.Err, want)
 				}
-				masks := make([]simulate.Vec, g.NumPOs())
+				masks = make([]simulate.Vec, g.NumPOs())
 				for j := range masks {
-					if rng.Intn(4) != 0 {
+					if trial > 0 && rng.Intn(4) != 0 {
 						masks[j] = randomVec(p, rng, 1+trial%4)
+						if trial%3 == 2 {
+							setTail(p, masks[j])
+						}
 					}
 				}
-				dev := randomVec(p, rng, 1)
+				devs := make([]simulate.Vec, 1+trial%8)
+				for k := range devs {
+					switch {
+					case k == 1 && trial%4 == 1:
+						devs[k] = make(simulate.Vec, p.Words())
+					case k == 2:
+						devs[k] = nil
+					default:
+						devs[k] = randomVec(p, rng, k%4)
+						if trial%3 == 2 {
+							setTail(p, devs[k])
+						}
+					}
+				}
 				if n > flipSampleBudget && kind != MaxED {
-					if changed := countChanged(andVecs(masks, dev)); changed > flipSampleBudget {
-						strided = true
+					seen := map[int]bool{}
+					for _, dev := range devs {
+						s := sampleStride(andVecs(p, masks, dev))
+						seen[s] = true
+						strided = strided || s > 1
 					}
+					mixed = mixed || len(seen) > 1
 				}
-				if got, want := wrapper(b, masks), ref(cmp, b, masks); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("n=%d %v trial %d, no deviation mask: kernel %v, reference %v", n, kind, trial, got, want)
+				what := fmt.Sprintf("n=%d %v trial %d", n, kind, trial)
+				if got, want := wrapper(b, masks), refScore(cmp)(cmp, b, andVecs(p, masks, nil)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s, no deviation mask: kernel %v, reference %v", what, got, want)
 				}
-				if got, want := cmp.ScoreFlips(b, masks, dev), ref(cmp, b, andVecs(masks, dev)); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("n=%d %v trial %d, deviation mask: kernel %v, reference %v", n, kind, trial, got, want)
-				}
+				checkTarget(t, cmp, b, masks, devs, what)
 			}
+			devs := make([]simulate.Vec, targetChunk+5)
+			for k := range devs {
+				devs[k] = randomVec(p, rng, k%5)
+			}
+			checkTarget(t, cmp, b, masks, devs, fmt.Sprintf("n=%d %v, %d candidates", n, kind, len(devs)))
 		}
-		if n > flipSampleBudget && !strided {
-			t.Fatalf("n=%d: no case took the sampling stride", n)
+		if n > flipSampleBudget && !(strided && mixed) {
+			t.Fatalf("n=%d: strided %v, mixed strides within a target %v; want both", n, strided, mixed)
 		}
 	}
 }
@@ -234,6 +312,63 @@ func countChanged(flips []simulate.Vec) int {
 		}
 	}
 	return simulate.PopCount(union)
+}
+
+// FuzzScoreTargetMatchesReference decodes a pattern count, an output
+// count (1-63), one target's output masks and up to eight deviation
+// masks, and checks every ScoreTarget result against the per-pattern
+// reference scorers for NMED, MRED and MaxED, bit for bit. Byte j of
+// shape picks output j's mask: nil when it is 0 mod 5, else a random
+// mask. The remaining bytes pick deviation masks the same way, except
+// that 1 mod 5 is all zero. Bit 7 of a byte sets the mask's bits past
+// the last pattern.
+func FuzzScoreTargetMatchesReference(f *testing.F) {
+	f.Add(uint16(1000), uint8(8), int64(1), []byte{1, 2, 0, 3, 4, 1, 2, 3, 2, 3, 4, 1, 0})
+	f.Add(uint16(64), uint8(1), int64(2), []byte{0x81, 0x82})
+	f.Add(uint16(8192), uint8(16), int64(3), bytes.Repeat([]byte{0x83}, 24))
+	f.Add(uint16(20000), uint8(4), int64(4), []byte{1, 1, 1, 1, 2, 3, 4, 0x82})
+	f.Add(uint16(777), uint8(62), int64(5), bytes.Repeat([]byte{0x84, 5, 2}, 22))
+	f.Add(uint16(300), uint8(3), int64(6), []byte{0, 0, 0, 2, 2})
+	f.Fuzz(func(t *testing.T, pats uint16, outs uint8, seed int64, shape []byte) {
+		n := 1 + int(pats)%(1<<15)
+		m := 1 + int(outs)%63
+		g := circuits.RandomLogic("fuzz", 8, m, 2*m+20, seed)
+		p := simulate.Random(g.NumPIs(), n, seed)
+		rng := rand.New(rand.NewSource(seed))
+		decode := func(sel byte, zero bool) simulate.Vec {
+			d := int(sel % 5)
+			if d == 0 {
+				return nil
+			}
+			if zero {
+				if d == 1 {
+					return make(simulate.Vec, p.Words())
+				}
+				d--
+			}
+			v := randomVec(p, rng, d-1)
+			if sel&0x80 != 0 {
+				setTail(p, v)
+			}
+			return v
+		}
+		masks := make([]simulate.Vec, m)
+		for j := 0; j < m && j < len(shape); j++ {
+			masks[j] = decode(shape[j], false)
+		}
+		var devs []simulate.Vec
+		for k := m; k < len(shape) && len(devs) < 8; k++ {
+			devs = append(devs, decode(shape[k], true))
+		}
+		for _, kind := range []Kind{NMED, MRED, MaxED} {
+			cmp := NewComparator(kind, g, p)
+			base := noisyPOs(cmp.ExactPOs(), rng)
+			for _, v := range base {
+				v[len(v)-1] &= p.LastMask()
+			}
+			checkTarget(t, cmp, cmp.NewBaseEval(base), masks, devs, fmt.Sprintf("%v, %d patterns, %d outputs", kind, n, m))
+		}
+	})
 }
 
 // TestErrorWithFlipsIgnoresTailBits is the regression test for flip
@@ -270,8 +405,9 @@ func TestErrorWithFlipsIgnoresTailBits(t *testing.T) {
 }
 
 // TestScoreFlipsAllocFree pins the kernel's allocation contract: the
-// scorers allocate nothing, so the estimator can call them once per
-// candidate.
+// one-candidate wrappers and a ScoreTarget call on more candidates
+// than one kernel chunk holds allocate nothing, so the estimator can
+// call the kernel once per target.
 func TestScoreFlipsAllocFree(t *testing.T) {
 	g := circuits.ArrayMult(4)
 	p := simulate.Random(g.NumPIs(), 1000, 1)
@@ -280,7 +416,11 @@ func TestScoreFlipsAllocFree(t *testing.T) {
 	for j := range masks {
 		masks[j] = randomVec(p, rng, 2)
 	}
-	dev := randomVec(p, rng, 1)
+	devs := make([]simulate.Vec, targetChunk+3)
+	for k := 1; k < len(devs); k++ {
+		devs[k] = randomVec(p, rng, k%3)
+	}
+	out := make([]float64, len(devs))
 	for _, kind := range []Kind{NMED, MRED, MaxED} {
 		cmp := NewComparator(kind, g, p)
 		b := cmp.NewBaseEval(noisyPOs(cmp.ExactPOs(), rng))
@@ -291,8 +431,11 @@ func TestScoreFlipsAllocFree(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { score(b, masks) }); a != 0 {
 			t.Errorf("%v: flip scoring allocates %v per call, want 0", kind, a)
 		}
-		if a := testing.AllocsPerRun(20, func() { cmp.ScoreFlips(b, masks, dev) }); a != 0 {
-			t.Errorf("%v: ScoreFlips allocates %v per call, want 0", kind, a)
+		if a := testing.AllocsPerRun(20, func() { cmp.ScoreTarget(b, masks, devs[:1], out[:1]) }); a != 0 {
+			t.Errorf("%v: one-candidate ScoreTarget allocates %v per call, want 0", kind, a)
+		}
+		if a := testing.AllocsPerRun(20, func() { cmp.ScoreTarget(b, masks, devs, out) }); a != 0 {
+			t.Errorf("%v: ScoreTarget on %d candidates allocates %v per call, want 0", kind, len(devs), a)
 		}
 	}
 }

@@ -12,19 +12,25 @@
 // exact cone-resimulation mode is provided for validation and for the
 // flow's accurate per-round evaluation.
 //
-// The word-level metrics (NMED/MRED/MaxED) read all outputs of a
-// pattern at once, so their pass keeps a copy of each distinct
-// target's propagation mask per output, and errmetric.ScoreFlips then
-// scores each candidate from its target's masks ANDed with its own
-// deviation mask; no per-candidate flip vector is built.
+// Candidates are grouped by target, since every candidate on a target
+// shares its propagation masks. ER keeps one mask per target: with d_j
+// the base diff of output j and p_j the target's propagation mask, a
+// candidate with deviation mask v differs somewhere on
+// OR_j(d_j ⊕ (p_j ∧ v)) = (X ∧ ¬v) ∨ (Y ∧ v), where X = OR_j d_j is the
+// base any-diff mask and Y = OR_j(d_j ⊕ p_j) is the target's. The
+// word-level metrics (NMED/MRED/MaxED) read all outputs of a pattern at
+// once, so their pass keeps a copy of each distinct target's
+// propagation mask per output, and errmetric.ScoreTarget then scores
+// all of a target's candidates in one call from those masks and their
+// deviation masks; no per-candidate flip vector is built.
 //
 // The per-output passes are mutually independent, so an Estimator
 // shards them across workers (one propagator per shard) and merges the
 // per-shard accumulators deterministically: bitwise OR for ER's
-// any-diff masks, integer sums for MHD, and disjoint (target, output)
-// mask slots for the word-level metrics. Every merge operation is
-// exactly associative and commutative, so the estimates are
-// bit-identical at any worker count.
+// X and per-target Y masks, integer sums for MHD, and disjoint
+// (target, output) mask slots for the word-level metrics. Every merge
+// operation is exactly associative and commutative, so the estimates
+// are bit-identical at any worker count.
 package estimator
 
 import (
@@ -47,14 +53,25 @@ import (
 type Estimator struct {
 	workers int
 	props   []*propagator
-	slabs   par.SlabPool
-	// Word-level state, rebuilt each round: targets lists the round's
+	// devBuf backs devs, the round's deviation mask per candidate;
+	// arena holds the per-shard accumulators (ER masks, MHD counts).
+	devBuf []uint64
+	devs   []simulate.Vec
+	arena  []uint64
+	// Per-target state, rebuilt each round: targets lists the round's
 	// distinct target nodes, targetNum maps a node id to its index in
 	// targets plus one (0: not a target), and slots holds target t's
-	// mask for output j at t*numPOs+j.
+	// word-level mask for output j at t*numPOs+j.
 	targets   []int
 	targetNum []int32
 	slots     []simulate.Vec
+	// The word-level candidates grouped by target: target t's are
+	// byTarget[first[t]:first[t+1]] in batch order, grouped holds their
+	// deviation masks and scores their errors in the same order.
+	byTarget []int32
+	first    []int32
+	grouped  []simulate.Vec
+	scores   []float64
 }
 
 // New returns an Estimator with the given worker budget (see
@@ -100,11 +117,12 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 	numPOs := g.NumPOs()
 	nl := len(lacs)
 
-	// Deviation masks, computed once per LAC into one pooled slab.
-	devSlab := e.slabs.Get(nl * words)
-	devs := make([]simulate.Vec, nl)
+	// Deviation masks, computed once per LAC into one reused buffer.
+	e.devBuf = grow(e.devBuf, nl*words)
+	e.devs = grow(e.devs, nl)
+	devs := e.devs
 	for i, l := range lacs {
-		devs[i] = devSlab[i*words : (i+1)*words]
+		devs[i] = e.devBuf[i*words : (i+1)*words]
 		l.DeviationInto(devs[i], res)
 	}
 
@@ -113,64 +131,72 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 
 	switch cmp.Kind() {
 	case errmetric.ER:
-		// ER fast path: per LAC, accumulate the mask of patterns on
-		// which any output differs from the exact circuit. Each shard
-		// owns one arena row block; rows merge by bitwise OR, which is
-		// order-independent, so the merged mask is exactly the
-		// sequential one.
+		// ER fast path: each shard ORs, over its outputs, the base
+		// diffs into the any-diff mask X (row 0 of its arena block)
+		// and d_j ⊕ p_j into target t's mask Y (row t+1), where a
+		// target that cannot reach output j has p_j = 0. Rows merge
+		// by bitwise OR, which is order-independent, so the merged
+		// masks are exactly the sequential ones; a candidate with
+		// deviation mask v then differs on (X ∧ ¬v) ∨ (Y ∧ v).
+		e.indexTargets(g.NumNodes(), lacs)
 		exact := cmp.ExactPOs()
-		arena := e.slabs.Get(blocks * nl * words)
+		rows := (len(e.targets) + 1) * words
+		e.arena = grow(e.arena, blocks*rows)
+		arena := e.arena
 		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
 			prop := e.props[shard]
-			ad := arena[shard*nl*words : (shard+1)*nl*words]
-			for w := range ad {
-				ad[w] = 0
-			}
+			ad := arena[shard*rows : (shard+1)*rows]
+			clear(ad)
+			x := ad[:words]
 			diffJ := prop.scratchVec()
 			for j := j0; j < j1; j++ {
 				masks := prop.run(j)
 				for w := 0; w < words; w++ {
 					diffJ[w] = curPOs[j][w] ^ exact[j][w]
+					x[w] |= diffJ[w]
 				}
-				for i, l := range lacs {
-					row := ad[i*words : (i+1)*words]
-					pm := masks[l.Target]
+				for t, id := range e.targets {
+					y := ad[(t+1)*words : (t+2)*words]
+					pm := masks[id]
 					if pm == nil {
 						for w := 0; w < words; w++ {
-							row[w] |= diffJ[w]
+							y[w] |= diffJ[w]
 						}
 						continue
 					}
-					dv := devs[i]
 					for w := 0; w < words; w++ {
-						row[w] |= diffJ[w] ^ (pm[w] & dv[w])
+						y[w] |= diffJ[w] ^ pm[w]
 					}
 				}
 			}
 		})
-		n := float64(res.Patterns.NumPatterns())
-		for i, l := range lacs {
-			row := arena[i*words : (i+1)*words]
-			for s := 1; s < blocks; s++ {
-				other := arena[(s*nl+i)*words:][:words]
-				for w := range row {
-					row[w] |= other[w]
-				}
+		merged := arena[:rows]
+		for s := 1; s < blocks; s++ {
+			other := arena[s*rows : (s+1)*rows]
+			for w := range merged {
+				merged[w] |= other[w]
 			}
+		}
+		n := float64(res.Patterns.NumPatterns())
+		x := merged[:words]
+		for i, l := range lacs {
+			t := int(e.targetNum[l.Target])
+			y := merged[t*words : (t+1)*words]
+			dv := devs[i]
 			c := 0
-			for _, w := range row {
-				c += bits.OnesCount64(w)
+			for w := 0; w < words; w++ {
+				c += bits.OnesCount64(x[w]&^dv[w] | y[w]&dv[w])
 			}
 			l.DeltaE = float64(c)/n - curErr
 		}
-		e.slabs.Put(arena)
 
 	case errmetric.MHD:
 		// MHD is linear over outputs: each shard tallies per-LAC
 		// diff-bit counts over its outputs; integer sums across shards
 		// are exact regardless of order.
 		exact := cmp.ExactPOs()
-		arena := e.slabs.Get(blocks * nl)
+		e.arena = grow(e.arena, blocks*nl)
+		arena := e.arena
 		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
 			prop := e.props[shard]
 			counts := arena[shard*nl : (shard+1)*nl]
@@ -208,20 +234,19 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 			}
 			l.DeltaE = float64(total)/denom - curErr
 		}
-		e.slabs.Put(arena)
 
 	default:
 		// Word-level metrics: each shard copies every distinct target's
 		// propagation mask for its outputs into its arena (nil when the
 		// target cannot flip that output). Shards own disjoint output
 		// columns of the slot table, so no merge is needed; scoring is
-		// then per-LAC independent and runs sharded too.
+		// then per-target independent and runs sharded too, one
+		// ScoreTarget call per target.
 		e.indexTargets(g.NumNodes(), lacs)
+		e.groupByTarget(lacs)
 		nt := len(e.targets)
-		if cap(e.slots) < nt*numPOs {
-			e.slots = make([]simulate.Vec, nt*numPOs)
-		}
-		slots := e.slots[:nt*numPOs]
+		e.slots = grow(e.slots, nt*numPOs)
+		slots := e.slots
 		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
 			prop := e.props[shard]
 			for j := j0; j < j1; j++ {
@@ -232,16 +257,17 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 			}
 		})
 		base := cmp.NewBaseEval(curPOs)
-		minLACs := minScoreWordOps / (numPOs*words + 1)
-		par.For(par.BlocksMin(e.workers, nl, minLACs), nl, func(_, i0, i1 int) {
-			for i := i0; i < i1; i++ {
-				t := int(e.targetNum[lacs[i].Target]) - 1
-				lacs[i].DeltaE = cmp.ScoreFlips(base, slots[t*numPOs:(t+1)*numPOs], devs[i]) - curErr
+		minTargets := minScoreWordOps / (numPOs*words + 1)
+		par.For(par.BlocksMin(e.workers, nt, minTargets), nt, func(_, t0, t1 int) {
+			for t := t0; t < t1; t++ {
+				k0, k1 := e.first[t], e.first[t+1]
+				cmp.ScoreTarget(base, slots[t*numPOs:(t+1)*numPOs], e.grouped[k0:k1], e.scores[k0:k1])
+				for k := k0; k < k1; k++ {
+					lacs[e.byTarget[k]].DeltaE = e.scores[k] - curErr
+				}
 			}
 		})
 	}
-
-	e.slabs.Put(devSlab)
 	return curErr
 }
 
@@ -249,23 +275,30 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 // propagation shard owns a propagator whose mask pool spans the whole
 // graph, so that footprint must amortize over at least a couple of
 // outputs; word-level scoring shards are capped to carry at least
-// minScoreWordOps 64-bit word operations so tiny candidate batches stop
-// fanning out. Both caps are pure functions of the problem shape, never
-// of the host, so shard boundaries stay reproducible.
+// minScoreWordOps 64-bit word operations (counting each target as one
+// output-mask sweep) so tiny candidate batches stop fanning out. Both
+// caps are pure functions of the problem shape, never of the host, so
+// shard boundaries stay reproducible.
 const (
 	minPOsPerShard   = 2
 	minScoreWordOps  = 1 << 15
 	minResimPerShard = 4
 )
 
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // indexTargets numbers the distinct targets of lacs in first-seen
 // order into e.targets and e.targetNum, clearing every number left by
 // the previous round.
 func (e *Estimator) indexTargets(numNodes int, lacs []*lac.LAC) {
-	if cap(e.targetNum) < numNodes {
-		e.targetNum = make([]int32, numNodes)
-	}
-	e.targetNum = e.targetNum[:numNodes]
+	e.targetNum = grow(e.targetNum, numNodes)
 	clear(e.targetNum)
 	e.targets = e.targets[:0]
 	for _, l := range lacs {
@@ -274,6 +307,38 @@ func (e *Estimator) indexTargets(numNodes int, lacs []*lac.LAC) {
 			e.targetNum[l.Target] = int32(len(e.targets))
 		}
 	}
+}
+
+// groupByTarget lays out lacs grouped by target with a stable counting
+// sort over e.targetNum, filling e.byTarget, e.first and e.grouped
+// (from e.devs) and sizing e.scores. It does not assume the batch
+// arrives grouped.
+func (e *Estimator) groupByTarget(lacs []*lac.LAC) {
+	nt, nl := len(e.targets), len(lacs)
+	e.first = grow(e.first, nt+1)
+	clear(e.first)
+	for _, l := range lacs {
+		e.first[e.targetNum[l.Target]]++
+	}
+	for t := 1; t <= nt; t++ {
+		e.first[t] += e.first[t-1]
+	}
+	// first[t] is now where target t's candidates start. Placing a
+	// candidate advances its target's entry to the next slot, so each
+	// ends where the next target starts; shifting by one restores the
+	// starts.
+	e.byTarget = grow(e.byTarget, nl)
+	e.grouped = grow(e.grouped, nl)
+	e.scores = grow(e.scores, nl)
+	for i, l := range lacs {
+		t := e.targetNum[l.Target] - 1
+		k := e.first[t]
+		e.byTarget[k] = int32(i)
+		e.grouped[k] = e.devs[i]
+		e.first[t]++
+	}
+	copy(e.first[1:], e.first[:nt])
+	e.first[0] = 0
 }
 
 // runShards executes body over [0,n) split into the given number of

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"accals/internal/blif"
+	"accals/internal/checkpoint"
 	"accals/internal/core"
 	"accals/internal/faultinject"
 	"accals/internal/obs"
@@ -123,17 +124,30 @@ func TestChaos(t *testing.T) {
 		}
 	}
 
-	// Let the fleet make progress, then pull the plug mid-stream. The
-	// trigger is progress-based (a third of the fleet done), not
-	// wall-clock, so the fault points see a comparable number of draws
-	// whether or not the build is instrumented (-race runs ~5x slower).
-	killAt := time.Now().Add(60 * time.Second)
-	for m.Stats().Done < numJobs/2 && time.Now().Before(killAt) {
-		time.Sleep(10 * time.Millisecond)
+	// Let the fleet make progress, then pull the plug mid-stream. Every
+	// wait is on an event, never on the wall clock, so a loaded host
+	// (or -race, ~5x slower) only stretches the run. The first trigger
+	// is progress-based (half the fleet done), so the fault points see
+	// a comparable number of draws either way, and it also waits until
+	// every armed point has fired.
+	armed := []string{
+		FaultJournalWrite, FaultCkptWrite, FaultCkptCorrupt,
+		FaultRoundHang, FaultJobPanic,
 	}
-	// One extra beat so at least one tripped watchdog reaches its
-	// terminal record before the plug is pulled.
-	time.Sleep(600 * time.Millisecond)
+	if !waitChaos(m, func() bool {
+		if m.Stats().Done < numJobs/2 {
+			return false
+		}
+		for _, point := range armed {
+			if inj.Fired(point) == 0 {
+				return false
+			}
+		}
+		return true
+	}) {
+		m.Kill()
+		t.Fatalf("fleet never reached %d done jobs with every fault point fired: %+v; census: %s", numJobs/2, m.Stats(), inj)
+	}
 
 	// Mid-run observability: under full chaos load the scrape must
 	// still export the complete admission story. The submission phase
@@ -156,6 +170,16 @@ func TestChaos(t *testing.T) {
 		}
 	}
 
+	// The crash point: the store freezes once the disk holds what the
+	// recovery assertions below need. That is a journaled watchdog
+	// failure, because hung rounds have fired, and a job still open in
+	// the journal with a valid checkpoint to be requeued and resumed
+	// from. Checking and freezing under the journal lock leaves no room
+	// for an append in between.
+	if !waitChaos(m, func() bool { return freezeWhenKillable(m) }) {
+		m.Kill()
+		t.Fatalf("the journal never held a hung failure next to an open job with a valid checkpoint: %+v", m.Stats())
+	}
 	preKill := m.Stats()
 	m.Kill()
 	t.Logf("killed with %d running / %d queued / %d done", preKill.Running, preKill.Queued, preKill.Done)
@@ -236,10 +260,7 @@ func TestChaos(t *testing.T) {
 
 	// Every armed fault point must actually have fired, or the chaos
 	// run proved nothing about that path.
-	for _, point := range []string{
-		FaultJournalWrite, FaultCkptWrite, FaultCkptCorrupt,
-		FaultRoundHang, FaultJobPanic,
-	} {
+	for _, point := range armed {
 		if inj.Fired(point) == 0 {
 			t.Errorf("fault point %s never fired (seed %d); census: %s", point, seed, inj)
 		}
@@ -318,6 +339,62 @@ func TestChaos(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// chaosWait bounds every event wait in TestChaos. It only turns a
+// wait that can never end into a failure; no assertion depends on it.
+const chaosWait = 5 * time.Minute
+
+// waitChaos polls cond until it holds. It reports false once m has no
+// queued or running job left and cond still fails, since nothing can
+// change then, or if chaosWait passes first.
+func waitChaos(m *Manager, cond func() bool) bool {
+	deadline := time.Now().Add(chaosWait)
+	for !cond() {
+		if st := m.Stats(); st.Running == 0 && st.Queued == 0 {
+			return cond()
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return true
+}
+
+// freezeWhenKillable freezes m's store once a crash would leave
+// recovery a journaled watchdog failure and a journal-open job with a
+// valid checkpoint. It checks under the journal lock, so no append
+// lands between the check and the freeze, and reports whether it froze
+// the store.
+func freezeWhenKillable(m *Manager) bool {
+	m.store.mu.Lock()
+	defer m.store.mu.Unlock()
+	recs, err := m.store.replay()
+	if err != nil {
+		return false
+	}
+	open := map[string]bool{}
+	hung := false
+	for _, rec := range recs {
+		switch {
+		case rec.Op == "accept":
+			open[rec.ID] = true
+		case rec.State.Terminal():
+			delete(open, rec.ID)
+			hung = hung || (rec.State == StateFailed && rec.FailureKind == "hung")
+		}
+	}
+	if !hung {
+		return false
+	}
+	for id := range open {
+		if _, err := checkpoint.Latest(m.store.ckptDir(id)); err == nil {
+			m.store.freeze()
+			return true
+		}
+	}
+	return false
 }
 
 func countKind(m *Manager, kind string) int {

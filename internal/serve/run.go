@@ -527,7 +527,9 @@ func (m *Manager) openBundle(id string, spec JobSpec, circuit string, ropt core.
 
 // writeBundleJob drops the terminal Job snapshot into the bundle
 // directory as job.json. Best-effort, and only when the bundle exists
-// (a job that failed validation before execute never opened one).
+// (a job that failed validation before execute never opened one). The
+// file is written beside the bundle directory and renamed into it, so
+// a concurrent download never reads a partial job.json.
 func (m *Manager) writeBundleJob(info *Job) {
 	dir := m.store.bundleDir(info.ID)
 	if _, err := os.Stat(dir); err != nil {
@@ -537,7 +539,12 @@ func (m *Manager) writeBundleJob(info *Job) {
 	if err != nil {
 		return
 	}
-	if err := os.WriteFile(filepath.Join(dir, BundleJobFile), body, 0o644); err != nil {
+	tmp := filepath.Join(filepath.Dir(dir), BundleJobFile+".tmp")
+	err = os.WriteFile(tmp, body, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, BundleJobFile))
+	}
+	if err != nil {
 		m.cfg.Log.Warn("bundle job.json write failed", "job", info.ID, "err", err)
 	}
 }

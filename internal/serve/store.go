@@ -117,16 +117,15 @@ func (s *store) close() error {
 }
 
 // freeze makes every subsequent durable write fail, emulating the
-// disk disappearing at a crash point.
+// disk disappearing at a crash point. An append still waiting for the
+// journal lock fails too, so a freeze made under that lock leaves the
+// journal exactly as the holder saw it.
 func (s *store) freeze() { s.frozen.Store(true) }
 
 // append journals one record with an fsync, so an acknowledged record
 // survives a crash. Injected failures write a truncated prefix first,
 // exercising the torn-tail repair on the next append.
 func (s *store) append(rec journalRec) error {
-	if s.frozen.Load() {
-		return fmt.Errorf("%w: store frozen", ErrDisk)
-	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("%w: encode journal record: %v", ErrDisk, err)
@@ -134,6 +133,9 @@ func (s *store) append(rec journalRec) error {
 	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.frozen.Load() {
+		return fmt.Errorf("%w: store frozen", ErrDisk)
+	}
 	if s.needNL {
 		if _, err := s.journal.Write([]byte{'\n'}); err != nil {
 			return fmt.Errorf("%w: %v", ErrDisk, err)

@@ -307,16 +307,19 @@ func Equivalent(a, b *Graph, budget int64) (*EquivalenceResult, error) {
 	return cec.Check(a, b, budget)
 }
 
-// ErrorCertificate is the verdict of a SAT-based worst-case error
-// check (see CertifyMaxError).
+// ErrorCertificate is the verdict of a worst-case error check (see
+// CertifyMaxError).
 type ErrorCertificate = maxerr.Certificate
 
-// CertifyMaxError proves or refutes, by SAT, that the approximate
-// circuit's error distance |approx - exact| stays within bound on
-// every input — not just on sampled patterns. Certified and Exceeded
-// are both false when the conflict budget (0 = unlimited) ran out:
-// budget exhaustion is never acceptance. This is the certifier a
-// MaxED synthesis run applies to every round it accepts.
+// CertifyMaxError proves or refutes that the approximate circuit's
+// error distance |approx - exact| stays within bound on every input —
+// not just on sampled patterns. Circuits with at most 16 inputs are
+// decided by simulating every input assignment, which always reaches
+// a verdict and spends no conflicts. Wider circuits are decided by
+// SAT, and there Certified and Exceeded are both false when the
+// conflict budget (0 = unlimited) ran out: budget exhaustion is never
+// acceptance. This is the certifier a MaxED synthesis run applies to
+// every round it accepts.
 func CertifyMaxError(approx, exact *Graph, bound uint64, budget int64) (*ErrorCertificate, error) {
 	return maxerr.Certify(approx, exact, bound, budget)
 }

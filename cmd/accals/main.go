@@ -8,10 +8,11 @@
 //	accals -blif design.blif -metric nmed -bound 0.0019531 -out approx.blif
 //	accals -circuit rca32 -method seals -metric mred -bound 0.001 -v
 //
-// The maxed metric bounds the worst-case error distance and proves it
-// with SAT: every accepted round carries an UNSAT certificate that
-// |approx - exact| never exceeds -bound on any input (the bound is an
-// absolute integer, not a fraction):
+// The maxed metric bounds the worst-case error distance and proves it:
+// every accepted round carries a certificate that |approx - exact|
+// never exceeds -bound on any input (the bound is an absolute integer,
+// not a fraction). Circuits with at most 16 inputs are proved by
+// simulating every input, wider ones by an UNSAT proof:
 //
 //	accals -circuit rca8 -metric maxed -bound 4
 //
@@ -69,10 +70,12 @@ import (
 	"accals/internal/faultinject"
 	"accals/internal/ledger"
 	"accals/internal/mapping"
+	"accals/internal/maxerr"
 	"accals/internal/obs"
 	"accals/internal/opt"
 	"accals/internal/runctl"
 	"accals/internal/seals"
+	"accals/internal/simulate"
 )
 
 // config holds the parsed command line. It is validated up front so
@@ -132,7 +135,7 @@ func parseFlags(args []string) (*config, bool, error) {
 	fs := flag.NewFlagSet("accals", flag.ContinueOnError)
 	fs.StringVar(&cfg.circuit, "circuit", "", "built-in benchmark name (see -list)")
 	fs.StringVar(&cfg.blifPath, "blif", "", "input BLIF file (alternative to -circuit)")
-	fs.StringVar(&cfg.metricName, "metric", "er", "error metric: er, nmed, mred, mhd, maxed (SAT-certified worst case)")
+	fs.StringVar(&cfg.metricName, "metric", "er", "error metric: er, nmed, mred, mhd, maxed (certified worst case)")
 	fs.Float64Var(&cfg.bound, "bound", 0.05, "error bound (fraction in (0,1], e.g. 0.05 = 5%; for -metric maxed an absolute integer error distance)")
 	fs.StringVar(&cfg.method, "method", "accals", "synthesis method: accals, seals")
 	fs.IntVar(&cfg.patterns, "patterns", 8192, "Monte-Carlo pattern budget")
@@ -148,7 +151,7 @@ func parseFlags(args []string) (*config, bool, error) {
 	fs.IntVar(&cfg.checkpointEvery, "checkpoint-every", 10, "snapshot cadence in rounds (with -checkpoint)")
 	fs.BoolVar(&cfg.resume, "resume", false, "resume from the latest snapshot in -checkpoint")
 	fs.DurationVar(&cfg.maxRuntime, "max-runtime", 0, "stop after this wall-clock budget, keeping the best so far (e.g. 30s, 10m)")
-	fs.Int64Var(&cfg.certBudget, "cert-budget", 0, "SAT conflict budget per certification with -metric maxed (0 = default, negative = unlimited); an exhausted budget rejects the round")
+	fs.Int64Var(&cfg.certBudget, "cert-budget", 0, fmt.Sprintf("SAT conflict budget per certification with -metric maxed (0 = default, negative = unlimited); an exhausted budget rejects the round. Only circuits with more than %d inputs use SAT; narrower ones are certified by exhaustive simulation", simulate.ExhaustiveLimit))
 	fs.StringVar(&cfg.evaluators, "evaluators", "", "comma-separated addresses of -serve-eval processes to farm candidate evaluation to; results are identical with or without them")
 	fs.StringVar(&cfg.evalFaults, "eval-faults", "", "fault-injection spec for the evaluator transport (point:mode:prob[:arg][@N], comma-separated; see internal/faultinject)")
 	fs.Int64Var(&cfg.evalFaultSeed, "eval-fault-seed", 1, "random seed for -eval-faults")
@@ -502,7 +505,7 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		// the top of the next round and never joins the accepted
 		// trajectory — snapshotting it would make a resume adopt a
 		// circuit that violates the bound. The same goes for a round
-		// whose SAT certification failed (maxed metric): its sampled
+		// whose certification failed (maxed metric): its sampled
 		// error passed but the proof did not, so a resume must never
 		// adopt it. Only accepted rounds are checkpointed, so the
 		// latest snapshot always restarts the run on the exact
@@ -576,11 +579,16 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 	fmt.Fprintf(w, "runtime:   %v\n", res.Runtime.Round(res.Runtime/1000+1))
 	fmt.Fprintf(w, "stopped:   %v\n", res.StopReason)
 	if res.Certified {
-		fmt.Fprintf(w, "certified: worst-case error distance <= %g proved by SAT (%d conflicts)\n",
-			cfg.bound, res.CertConflicts)
+		if maxerr.BySimulation(g.NumPIs()) {
+			fmt.Fprintf(w, "certified: worst-case error distance <= %g proved by exhaustive simulation of all 2^%d inputs\n",
+				cfg.bound, g.NumPIs())
+		} else {
+			fmt.Fprintf(w, "certified: worst-case error distance <= %g proved by SAT (%d conflicts)\n",
+				cfg.bound, res.CertConflicts)
+		}
 	}
 	if res.StopReason == runctl.Uncertified {
-		fmt.Fprintf(w, "note:      a candidate round failed SAT certification; outputs hold the last certified circuit\n")
+		fmt.Fprintf(w, "note:      a candidate round failed certification; outputs hold the last certified circuit\n")
 	}
 	if res.StopReason.Interrupted() {
 		fmt.Fprintf(w, "note:      run interrupted; outputs hold the best circuit found so far\n")

@@ -277,7 +277,7 @@ func analyse(arg, csvPath string, timeline bool, w io.Writer) error {
 	single, reverts := t.Guards()
 	fmt.Fprintf(w, "guards:       %d single-LAC fallbacks, %d negative-set reverts\n", single, reverts)
 	if attempts, certified, conflicts := t.Certification(); attempts > 0 {
-		fmt.Fprintf(w, "certification: %d of %d rounds SAT-certified (%d solver conflicts)\n",
+		fmt.Fprintf(w, "certification: %d of %d rounds certified (%d solver conflicts)\n",
 			certified, attempts, conflicts)
 	}
 	if f := t.Finish; f != nil {

@@ -108,12 +108,16 @@ type Options struct {
 	// negative value means unlimited. A round whose certification
 	// exhausts the budget is rejected and the run stops with
 	// StopReason Uncertified — budget exhaustion is never acceptance.
+	// Only circuits with more than simulate.ExhaustiveLimit (16) inputs
+	// are certified by SAT; narrower ones are certified by exhaustive
+	// simulation, which has no budget (see maxerr.BySimulation).
 	// Ignored by the statistical metrics.
 	CertBudget int64
 }
 
 // DefaultCertBudget is the per-round conflict budget of MaxED SAT
-// certification when Options.CertBudget is zero.
+// certification (circuits above simulate.ExhaustiveLimit inputs) when
+// Options.CertBudget is zero.
 const DefaultCertBudget = 1 << 20
 
 // StartState warm-starts a run from a previously checkpointed circuit
@@ -224,7 +228,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	rec := opt.Recorder
 	patCount := cmp.Patterns().NumPatterns()
 
-	// SAT certification (MaxED only): every accepted circuit must carry
+	// Certification (MaxED only): every accepted circuit must carry
 	// a proof that its worst-case error distance stays within the bound
 	// on ALL inputs, not just the sampled patterns. The sampled MaxED
 	// is a lower bound, so the statistical loop acts as a cheap filter
@@ -542,9 +546,10 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		}
 
 		// Certification (MaxED): the statistical measurement above is a
-		// lower bound over sampled patterns; only a SAT proof over the
-		// error miter admits the round. Runs after the revert so the
-		// circuit proved is the one that would be adopted.
+		// lower bound over sampled patterns; only a proof over the
+		// error miter (exhaustive simulation or SAT) admits the round.
+		// Runs after the revert so the circuit proved is the one that
+		// would be adopted.
 		if certEnabled && e <= errBound {
 			rs.CertRan = true
 			rs.Certified, rs.CertConflicts = certify(gNew)
@@ -601,7 +606,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		}
 		emitProgress(opt.Progress, rs, gNew)
 		if rs.CertRan && !rs.Certified {
-			// The sampled error passed but the SAT proof did not (bound
+			// The sampled error passed but the proof did not (bound
 			// refuted on an unsampled input, or the conflict budget ran
 			// out): reject the round, keep the last certified circuit.
 			gNew, e = g, eG
@@ -618,9 +623,9 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	result.Final = g
 	result.Error = eG
 	result.StopReason = reason
-	// Under MaxED every adopted circuit either carried its own SAT
-	// proof or is a copy of the exact circuit (zero error on all
-	// inputs), so the final result is certified by construction.
+	// Under MaxED every adopted circuit either carried its own proof
+	// or is a copy of the exact circuit (zero error on all inputs), so
+	// the final result is certified by construction.
 	result.Certified = certEnabled
 	result.Runtime = time.Since(start)
 	if led {
@@ -640,7 +645,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	return result
 }
 
-// certifyAgainst runs one SAT certification of cand against the exact
+// certifyAgainst runs one certification of cand against the exact
 // circuit and feeds the outcome counter. Any constructive error (the
 // interfaces were validated at run entry, so none is expected) is
 // treated as not-certified rather than silently accepted.

@@ -22,9 +22,12 @@ func exhaustiveMaxED(t *testing.T, exact, approx *aig.Graph) uint64 {
 
 // TestRunMaxEDCertifiedEqualsExhaustive is the acceptance test of the
 // certified maximum-error flow: on ripple-carry adders up to 8 bits
-// per operand, the synthesised circuit's SAT-certified worst-case
-// error distance must exactly equal its exhaustive-simulation one —
-// certifiable at the measured maximum, refutable one below it.
+// per operand, the synthesised circuit's certified worst-case error
+// distance must exactly equal its exhaustive-simulation one —
+// certifiable at the measured maximum, refutable one below it. rca4
+// (9 inputs) and rca6 (13) are certified by exhaustive simulation;
+// rca8 (17 inputs) is above simulate.ExhaustiveLimit and is still
+// certified by SAT.
 func TestRunMaxEDCertifiedEqualsExhaustive(t *testing.T) {
 	cases := []struct {
 		width int
@@ -55,8 +58,9 @@ func TestRunMaxEDCertifiedEqualsExhaustive(t *testing.T) {
 				c.width, trueMax, c.bound)
 		}
 
-		// SAT and exhaustive simulation must agree exactly: the miter
-		// is UNSAT at the measured maximum and SAT one below it.
+		// The certifier and exhaustive simulation must agree exactly:
+		// the bound is certified at the measured maximum and refuted
+		// one below it.
 		cert, err := maxerr.Certify(res.Final, g, trueMax, 0)
 		if err != nil {
 			t.Fatalf("rca%d: %v", c.width, err)
@@ -104,15 +108,18 @@ func TestRunMaxEDZeroBound(t *testing.T) {
 // budget clause at the synthesis level: a certification that exhausts
 // a deliberately tight conflict budget yields rejection — StopReason
 // Uncertified and a fallback to the last certified circuit — never
-// silent acceptance. The warm start is a Wallace-tree multiplier
-// checked against an array multiplier at bound 0: a functionally
-// equivalent circuit whose equivalence is classically hard to prove,
-// so one conflict can never certify it.
+// silent acceptance. The warm start is a Kogge-Stone adder checked
+// against a ripple-carry adder at bound 0: a functionally equivalent
+// circuit that one conflict cannot certify. The adders have 17 inputs,
+// one more than simulate.ExhaustiveLimit, so SAT and its budget decide.
 func TestRunMaxEDTightBudgetRejects(t *testing.T) {
-	orig := circuits.ArrayMult(4)
-	start := circuits.WallaceMult(4)
+	orig := circuits.RCA(8)
+	start := circuits.KSA(8)
 	if start.NumPIs() != orig.NumPIs() || start.NumPOs() != orig.NumPOs() {
-		t.Fatal("multiplier interfaces diverged")
+		t.Fatal("adder interfaces diverged")
+	}
+	if n := orig.NumPIs(); n <= simulate.ExhaustiveLimit {
+		t.Fatalf("adders have %d inputs, want more than %d so that SAT decides", n, simulate.ExhaustiveLimit)
 	}
 
 	res := Run(orig, errmetric.MaxED, 0, Options{
@@ -129,11 +136,11 @@ func TestRunMaxEDTightBudgetRejects(t *testing.T) {
 	}
 
 	// The same warm start certifies under an unlimited budget (the
-	// multipliers are equivalent), proving the rejection above was the
+	// adders are equivalent), proving the rejection above was the
 	// budget's doing and not a refutation.
 	res = Run(orig, errmetric.MaxED, 0, Options{
 		CertBudget: -1,
-		Start:      &StartState{Graph: circuits.WallaceMult(4), Round: 7},
+		Start:      &StartState{Graph: circuits.KSA(8), Round: 7},
 	})
 	if res.StopReason == runctl.Uncertified {
 		t.Fatal("unlimited budget still rejected the equivalent warm start")
@@ -146,20 +153,26 @@ func TestRunMaxEDTightBudgetRejects(t *testing.T) {
 // TestRunMaxEDTightBudgetNeverAccepts: whatever a tiny budget does to
 // the trajectory, the final circuit's true worst case must respect the
 // bound — budget exhaustion may shorten the run but can never smuggle
-// an unproved circuit through.
+// an unproved circuit through. The adder's 17 inputs put it above
+// simulate.ExhaustiveLimit, so its rounds are certified by SAT, and
+// the budget stops the run.
 func TestRunMaxEDTightBudgetNeverAccepts(t *testing.T) {
-	g := circuits.ArrayMult(4)
+	g := circuits.RCA(8)
+	if n := g.NumPIs(); n <= simulate.ExhaustiveLimit {
+		t.Fatalf("adder has %d inputs, want more than %d so that SAT decides", n, simulate.ExhaustiveLimit)
+	}
 	const bound = 6
 	res := Run(g, errmetric.MaxED, bound, Options{CertBudget: 1})
 	if got := exhaustiveMaxED(t, g, res.Final); got > bound {
 		t.Fatalf("tight-budget run accepted max ED %d past bound %d", got, bound)
 	}
-	if res.StopReason == runctl.Uncertified {
-		// Rejection path taken: the recorded last round must carry the
-		// failed certification.
-		last := res.Rounds[len(res.Rounds)-1]
-		if !last.CertRan || last.Certified {
-			t.Fatalf("Uncertified stop without a failed certification round: %+v", last)
-		}
+	if res.StopReason != runctl.Uncertified {
+		t.Fatalf("stop reason %v, want Uncertified: the budget-exhaustion branch went untested", res.StopReason)
+	}
+	// Rejection path taken: the recorded last round must carry the
+	// failed certification.
+	last := res.Rounds[len(res.Rounds)-1]
+	if !last.CertRan || last.Certified {
+		t.Fatalf("Uncertified stop without a failed certification round: %+v", last)
 	}
 }

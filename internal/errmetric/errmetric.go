@@ -1,7 +1,7 @@
 // Package errmetric computes the statistical error metrics used in the
 // AccALS paper: error rate (ER), normalized mean error distance (NMED)
 // and mean relative error distance (MRED), plus the maximum error
-// distance (MaxED) used by SAT-certified synthesis. All metrics are
+// distance (MaxED) used by certified synthesis. All metrics are
 // evaluated against a fixed pattern set (exhaustive or Monte-Carlo)
 // produced by package simulate, matching the paper's assumption of
 // uniformly distributed inputs; MaxED over sampled patterns is a lower
@@ -48,8 +48,8 @@ const (
 	// the pattern set, treating the outputs as an unsigned integer.
 	// Unlike the mean metrics it is an absolute (un-normalised)
 	// quantity, and a sampled evaluation is only a lower bound on the
-	// true worst case — package maxerr certifies the exact bound with
-	// a SAT query over an error miter.
+	// true worst case — package maxerr certifies the exact bound over
+	// an error miter, by exhaustive simulation or a SAT query.
 	MaxED
 )
 

@@ -136,11 +136,11 @@ func (t *Trajectory) EstimatorAccuracy() EstimatorAccuracy {
 	return acc
 }
 
-// Certification tallies the SAT-certified rounds of a maximum-error
-// run: attempts is the number of rounds that went through
-// certification, certified those whose bound was proved, and
-// conflicts the total solver effort. All zero for runs under the
-// statistical metrics.
+// Certification tallies the certified rounds of a maximum-error run:
+// attempts is the number of rounds that went through certification,
+// certified those whose bound was proved, and conflicts the total SAT
+// solver effort (0 for rounds certified by exhaustive simulation). All
+// zero for runs under the statistical metrics.
 func (t *Trajectory) Certification() (attempts, certified int, conflicts int64) {
 	for _, r := range t.Rounds {
 		if r.Certified == nil {

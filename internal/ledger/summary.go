@@ -27,7 +27,7 @@ type RunSummary struct {
 	StopReason     string  `json:"stop_reason"`
 	IndpWinRate    float64 `json:"indp_win_rate"`
 	// Certified marks maximum-error runs whose final circuit carries a
-	// SAT proof of its worst-case bound; CertConflicts is the total
+	// proof of its worst-case bound; CertConflicts is the total SAT
 	// solver effort the run's certifications spent.
 	Certified     bool        `json:"certified,omitempty"`
 	CertConflicts int64       `json:"cert_conflicts,omitempty"`

@@ -1,19 +1,25 @@
-// Package maxerr certifies worst-case error bounds with SAT. The
-// statistical MaxED metric (errmetric.MaxED) measures the largest
-// error distance over a sampled pattern set — a lower bound on the
-// true worst case. This package closes the gap: BuildMiter constructs
-// an error-miter AIG whose single output is 1 exactly on the inputs
-// where |approx - exact| > bound (ripple-borrow subtractors in both
+// Package maxerr certifies worst-case error bounds. The statistical
+// MaxED metric (errmetric.MaxED) measures the largest error distance
+// over a sampled pattern set — a lower bound on the true worst case.
+// This package closes the gap: BuildMiter constructs an error-miter AIG
+// whose single output is 1 exactly on the inputs where
+// |approx - exact| > bound (ripple-borrow subtractors in both
 // directions feeding a greater-than-constant comparator), and Certify
-// hands it to the CDCL solver via cec.Satisfiable.
+// decides whether that output can ever be 1. A miter with at most
+// simulate.ExhaustiveLimit inputs (see BySimulation) is simulated on
+// every input assignment, one fixed-size chunk at a time; a wider one
+// goes to the CDCL solver via cec.Satisfiable.
 //
 // Certification invariants:
 //
-//   - UNSAT ⇒ the bound holds on ALL 2^n inputs, not just sampled ones.
-//   - SAT ⇒ Counterexample is an input whose error distance exceeds
-//     the bound.
+//   - UNSAT, or a full sweep with no exceeding input ⇒ the bound holds
+//     on ALL 2^n inputs, not just sampled ones.
+//   - SAT, or an exceeding input found by the sweep ⇒ Counterexample
+//     is an input whose error distance exceeds the bound (the lowest
+//     such input, when swept).
 //   - Budget exhaustion (Unknown) ⇒ the circuit is NOT certified. An
-//     exhausted conflict budget is never acceptance.
+//     exhausted conflict budget is never acceptance. Only the SAT path
+//     has a budget.
 //
 // Both circuits read their outputs as one unsigned integer with PO 0
 // the least significant bit, so the word-level 63-output limit of
@@ -23,28 +29,32 @@ package maxerr
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"accals/internal/aig"
 	"accals/internal/cec"
 	"accals/internal/errmetric"
 	"accals/internal/obs"
 	"accals/internal/runctl"
+	"accals/internal/simulate"
 )
 
 // Certificate reports one certification attempt.
 type Certificate struct {
-	// Certified is true when the solver proved UNSAT: the error
-	// distance is at most Bound on every input assignment.
+	// Certified is true when the bound was proved: the solver found the
+	// miter UNSAT, or the sweep found no exceeding input. The error
+	// distance is then at most Bound on every input assignment.
 	Certified bool
-	// Exceeded is true when the solver found an input whose error
-	// distance exceeds Bound; Counterexample holds it (by PI
-	// position). When neither Certified nor Exceeded is set the
-	// conflict budget ran out before a proof either way.
+	// Exceeded is true when an input whose error distance exceeds
+	// Bound was found; Counterexample holds it (by PI position). When
+	// neither Certified nor Exceeded is set the conflict budget ran out
+	// before a proof either way, which only the SAT path, above
+	// simulate.ExhaustiveLimit inputs, can do.
 	Exceeded       bool
 	Counterexample []bool
 	// Bound is the certified (or refuted) error-distance bound.
 	Bound uint64
-	// Conflicts is the solver effort spent.
+	// Conflicts is the solver effort spent; 0 for a swept bound.
 	Conflicts int64
 }
 
@@ -121,23 +131,49 @@ func gtConst(g *aig.Graph, d []aig.Lit, n uint64) aig.Lit {
 	return gt
 }
 
+// sweepChunk is the number of input assignments one simulation of the
+// miter covers when a bound is decided by sweeping: 8192 patterns, 1 KiB
+// per miter node, so a 16-input sweep takes 8 chunks and never holds
+// all 2^16 patterns for every node.
+const sweepChunk = 8192
+
+// BySimulation reports whether Certify decides the bound of circuits
+// with nPIs inputs by simulating the error miter on all 2^nPIs input
+// assignments, rather than by SAT. It is the one place that rule
+// lives; the conflict budget applies only where it is false.
+func BySimulation(nPIs int) bool { return nPIs <= simulate.ExhaustiveLimit }
+
 // Certify proves or refutes that approx stays within the given
-// maximum error distance of exact on every input. budget caps solver
-// conflicts (0 = unlimited); an exhausted budget yields a Certificate
-// with neither Certified nor Exceeded set — callers must reject such
-// a circuit.
+// maximum error distance of exact on every input. A circuit with at
+// most simulate.ExhaustiveLimit inputs is decided by exhaustive
+// simulation, which always reaches a verdict. A wider one is decided by
+// SAT, where budget caps solver conflicts (0 = unlimited); an exhausted
+// budget yields a Certificate with neither Certified nor Exceeded set —
+// callers must reject such a circuit.
 func Certify(approx, exact *aig.Graph, bound uint64, budget int64) (*Certificate, error) {
 	return CertifyRec(approx, exact, bound, budget, nil)
 }
 
-// CertifyRec is Certify with instrumentation: the SAT query runs
-// under the recorder's cec-phase span and feeds the SAT-conflict
-// counter. rec may be nil.
+// CertifyRec is Certify with instrumentation: the sweep or the SAT
+// query runs under the recorder's cec-phase span, and the SAT query
+// feeds the SAT-conflict counter. rec may be nil.
 func CertifyRec(approx, exact *aig.Graph, bound uint64, budget int64, rec *obs.Recorder) (*Certificate, error) {
 	m, err := BuildMiter(approx, exact, bound)
 	if err != nil {
 		return nil, err
 	}
+	if !BySimulation(m.NumPIs()) {
+		return certifyBySAT(m, bound, budget, rec)
+	}
+	sp := rec.StartSpan(obs.PhaseCEC)
+	defer sp.End()
+	return certifyBySweep(m, bound)
+}
+
+// certifyBySAT decides the bound of miter m with the CDCL solver:
+// UNSAT certifies it, a model refutes it, and an exhausted budget
+// decides nothing.
+func certifyBySAT(m *aig.Graph, bound uint64, budget int64, rec *obs.Recorder) (*Certificate, error) {
 	res, err := cec.SatisfiableRec(m, budget, rec)
 	if err != nil {
 		return nil, err
@@ -152,4 +188,46 @@ func CertifyRec(approx, exact *aig.Graph, bound uint64, budget int64, rec *obs.R
 		}
 	}
 	return c, nil
+}
+
+// certifyBySweep decides the bound of miter m by simulating it on every
+// input assignment, sweepChunk assignments at a time in ascending
+// order. It stops at the first chunk in which the exceed output is 1
+// and refutes the bound with the lowest such input; a sweep that never
+// sees a 1 certifies it.
+func certifyBySweep(m *aig.Graph, bound uint64) (*Certificate, error) {
+	n := m.NumPIs()
+	total := 1 << uint(n)
+	chunk := min(total, sweepChunk)
+	exceed := m.PO(0)
+	r := simulate.NewRunner(1)
+	for first := 0; first < total; first += chunk {
+		p := simulate.ExhaustiveRange(n, first, chunk)
+		res, err := r.Run(m, p)
+		if err != nil {
+			return nil, err
+		}
+		lowest := -1
+		for w, x := range res.NodeVals[exceed.Node()] {
+			if exceed.IsCompl() {
+				x = ^x
+			}
+			if w == p.Words()-1 {
+				x &= p.LastMask()
+			}
+			if x != 0 {
+				lowest = first + w<<6 + bits.TrailingZeros64(x)
+				break
+			}
+		}
+		r.Release(res)
+		if lowest >= 0 {
+			cex := make([]bool, n)
+			for i := range cex {
+				cex[i] = lowest>>uint(i)&1 != 0
+			}
+			return &Certificate{Exceeded: true, Counterexample: cex, Bound: bound}, nil
+		}
+	}
+	return &Certificate{Certified: true, Bound: bound}, nil
 }

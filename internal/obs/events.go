@@ -106,11 +106,12 @@ type RoundEvent struct {
 	// declared negative (beta > l_d, or a multi-LAC overshoot) and the
 	// round was redone with the single best LAC.
 	Reverted bool `json:"reverted,omitempty"`
-	// Certified reports the round's SAT certification verdict under
-	// the maximum-error metric: nil when the round was not certified
+	// Certified reports the round's certification verdict under the
+	// maximum-error metric: nil when the round was not certified
 	// (non-MaxED runs), false when the certification failed (bound
 	// refuted or conflict budget exhausted — the round was rejected).
-	// CertConflicts is the solver effort the attempt spent.
+	// CertConflicts is the SAT solver effort the attempt spent: 0 for
+	// circuits certified by exhaustive simulation.
 	Certified     *bool `json:"certified,omitempty"`
 	CertConflicts int64 `json:"cert_conflicts,omitempty"`
 	// Applied lists the LACs of the final (post-revert) rebuild.

@@ -26,7 +26,8 @@ import (
 // build the LAC conflict graph and extract a conflict-free set, solve
 // the maximum-independent-set problem, apply a LAC set, measure the
 // true error, and (when the negative-set guard fires) revert. PhaseCEC
-// covers SAT-based equivalence checks and PhaseRound spans a whole
+// covers SAT-based equivalence checks and maximum-error certification
+// (by SAT or by exhaustive simulation), and PhaseRound spans a whole
 // round.
 type Phase uint8
 
@@ -191,11 +192,11 @@ func NewRecorder() *Recorder {
 	r.cacheMisses = reg.Counter("accals_lac_cache_total",
 		"Per-target LAC candidate lists served by the incremental generator, by cache disposition.", L("result", "miss"))
 	r.certCertified = reg.Counter("accals_cert_total",
-		"SAT certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "certified"))
+		"Certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "certified"))
 	r.certRefuted = reg.Counter("accals_cert_total",
-		"SAT certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "refuted"))
+		"Certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "refuted"))
 	r.certBudget = reg.Counter("accals_cert_total",
-		"SAT certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "budget"))
+		"Certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "budget"))
 	r.dispRemote = reg.Counter("accals_dispatch_batches_total",
 		"Candidate batches dispatched to external evaluators, by outcome.", L("result", "remote"))
 	r.dispFailover = reg.Counter("accals_dispatch_batches_total",
@@ -557,20 +558,20 @@ func (r *Recorder) CountEvaluation() {
 	r.evaluations.Inc()
 }
 
-// CertOutcome is the disposition of one SAT certification attempt.
+// CertOutcome is the disposition of one certification attempt.
 type CertOutcome int
 
 // Certification outcomes, matching the accals_cert_total result label.
 const (
-	// CertCertified: the solver proved the bound holds on all inputs.
+	// CertCertified: the bound was proved to hold on all inputs.
 	CertCertified CertOutcome = iota
-	// CertRefuted: the solver found an input exceeding the bound.
+	// CertRefuted: an input exceeding the bound was found.
 	CertRefuted
 	// CertBudget: the conflict budget ran out; the round is rejected.
 	CertBudget
 )
 
-// CountCert records one SAT certification outcome of a maximum-error
+// CountCert records one certification outcome of a maximum-error
 // round.
 func (r *Recorder) CountCert(o CertOutcome) {
 	if r == nil {

@@ -52,7 +52,7 @@ type Summary struct {
 	// (both zero when the run did not use incremental generation).
 	LACCacheHits   int64 `json:"lac_cache_hits,omitempty"`
 	LACCacheMisses int64 `json:"lac_cache_misses,omitempty"`
-	// CertCertified/CertRefuted/CertBudget tally SAT certification
+	// CertCertified/CertRefuted/CertBudget tally certification
 	// outcomes of maximum-error rounds (all zero when the run did not
 	// use the MaxED metric).
 	CertCertified int64 `json:"cert_certified,omitempty"`

@@ -41,10 +41,11 @@ const (
 	// does not match the pattern set). The result still holds the best
 	// circuit accepted so far.
 	Failed
-	// Uncertified: a round's SAT certification (maximum-error metric)
-	// could not prove the bound within its conflict budget, so the
-	// round was rejected and the run stopped on the last certified
-	// circuit. An exhausted budget is never treated as acceptance.
+	// Uncertified: a round's certification (maximum-error metric)
+	// refuted the bound or could not prove it within its conflict
+	// budget, so the round was rejected and the run stopped on the
+	// last certified circuit. An exhausted budget is never treated as
+	// acceptance.
 	Uncertified
 )
 

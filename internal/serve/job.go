@@ -81,7 +81,7 @@ type JobSpec struct {
 	// Method is the synthesis flow: "accals" (default) or "seals".
 	Method string `json:"method,omitempty"`
 	// Metric is the error metric: er, nmed, mred, mhd or maxed
-	// (SAT-certified worst-case error distance).
+	// (certified worst-case error distance).
 	Metric string `json:"metric"`
 	// Bound is the error bound: a fraction in (0,1] for the
 	// statistical metrics, a non-negative integer error distance for

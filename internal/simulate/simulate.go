@@ -53,15 +53,37 @@ func Exhaustive(nPIs int) *Patterns {
 	if nPIs > 20 {
 		panic(fmt.Errorf("simulate: exhaustive pattern set limited to 20 inputs, got %d: %w", nPIs, runctl.ErrTooManyInputs))
 	}
-	n := 1 << nPIs
+	return ExhaustiveRange(nPIs, 0, 1<<nPIs)
+}
+
+// lowPIWords[i] is the packed value of PI i < 6 over any 64 consecutive
+// patterns of the exhaustive enumeration that start at a multiple of 64.
+var lowPIWords = [6]uint64{
+	0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000,
+}
+
+// ExhaustiveRange returns n consecutive patterns of the exhaustive
+// enumeration of nPIs inputs, starting at pattern first: pattern k of
+// the result is the input assignment first+k, in which PI i is bit i.
+// Sweeping first over 0, n, 2n, ... visits all 2^nPIs assignments
+// while holding only n of them at a time. first must be a multiple of
+// 64 and the range must lie within [0, 2^nPIs).
+func ExhaustiveRange(nPIs, first, n int) *Patterns {
+	if first < 0 || first&63 != 0 || n < 1 || first+n > 1<<uint(nPIs) {
+		panic(fmt.Errorf("simulate: exhaustive range [%d, %d) of %d inputs is not word-aligned within 2^%d", first, first+n, nPIs, nPIs))
+	}
 	p := newPatterns(nPIs, n)
 	for pi := 0; pi < nPIs; pi++ {
 		v := p.piValues[pi]
-		for pat := 0; pat < n; pat++ {
-			if pat&(1<<pi) != 0 {
-				v[pat>>6] |= 1 << (uint(pat) & 63)
+		for w := range v {
+			if pi < len(lowPIWords) {
+				v[w] = lowPIWords[pi]
+			} else if (first+w<<6)>>uint(pi)&1 != 0 {
+				v[w] = ^uint64(0)
 			}
 		}
+		v[len(v)-1] &= p.lastMask
 	}
 	return p
 }

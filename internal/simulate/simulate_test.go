@@ -26,6 +26,28 @@ func TestExhaustivePatterns(t *testing.T) {
 	if p.LastMask() != 0xff {
 		t.Errorf("LastMask = %x", p.LastMask())
 	}
+
+	// Every slice of the enumeration must hold the assignments it
+	// names, so chunks swept in order cover exactly Exhaustive(n).
+	for _, r := range []struct{ nPIs, first, n int }{
+		{5, 0, 32}, {12, 0, 4096}, {12, 1024, 1024}, {12, 3968, 128}, {16, 57344, 8192},
+	} {
+		p := ExhaustiveRange(r.nPIs, r.first, r.n)
+		if p.NumPatterns() != r.n || p.NumPIs() != r.nPIs {
+			t.Fatalf("range %+v: got %d patterns over %d PIs", r, p.NumPatterns(), p.NumPIs())
+		}
+		for pi := 0; pi < r.nPIs; pi++ {
+			v := p.PIValue(pi)
+			for pat := 0; pat < r.n; pat++ {
+				if want := (r.first+pat)&(1<<pi) != 0; Bit(v, pat) != want {
+					t.Fatalf("range %+v: PI %d pattern %d = %v, want %v", r, pi, pat, !want, want)
+				}
+			}
+			if tail := v[len(v)-1] &^ p.LastMask(); tail != 0 {
+				t.Fatalf("range %+v: PI %d has bits %#x past the last pattern", r, pi, tail)
+			}
+		}
+	}
 }
 
 func TestRandomPatternsDeterministic(t *testing.T) {

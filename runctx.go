@@ -30,7 +30,7 @@ const (
 	StopStagnated        = runctl.Stagnated
 	StopCancelled        = runctl.Cancelled
 	StopDeadlineExceeded = runctl.DeadlineExceeded
-	// StopUncertified: a MaxED round's SAT certification refuted the
+	// StopUncertified: a MaxED round's certification refuted the
 	// bound or ran out of conflict budget; the run kept the last
 	// certified circuit instead of adopting the unproved one.
 	StopUncertified = runctl.Uncertified

@@ -12,6 +12,7 @@ import (
 	"accals/internal/aiger"
 	"accals/internal/circuits"
 	"accals/internal/errmetric"
+	"accals/internal/lac"
 	"accals/internal/mis"
 )
 
@@ -23,7 +24,9 @@ import (
 // certified by exhaustive simulation). Every cell runs at
 // Workers 1 and 2 with Incremental off and on, and all four runs must
 // reproduce the one expected row, so a change to the loop that moves
-// any trajectory, or lets the switches disagree, fails here.
+// any trajectory, or lets the switches disagree, fails here. Cells
+// named in genCfg run under that generation config instead of the
+// default one.
 func TestGoldenTrajectories(t *testing.T) {
 	mult4 := func() *aig.Graph { return circuits.ArrayMult(4) }
 	rca8 := func() *aig.Graph { return circuits.RCA(8) }
@@ -57,6 +60,14 @@ func TestGoldenTrajectories(t *testing.T) {
 		// path (greedy, local search, seeded restarts) is pinned too.
 		{"sin7-er", sin7, errmetric.ER, 0.03, 0,
 			177, 0x3f90000000000000, 8, "bounded", "f5c3de1c8d831c2981be7c214eb16e17345b8ca5d88f9302729f0bbdb789644f", 0},
+		// Two- and three-input resubstitution candidates, whose gains
+		// count the target's cone minus what its SNs keep alive. The
+		// run applies pair and MUX resubstitutions.
+		{"mult4-nmed-resub", mult4, errmetric.NMED, 0.03, 0,
+			36, 0x3f9c343434343424, 11, "bounded", "4539801597e68f50c83ab6dff8adc6fdb8080edafe883443bef0cfc849f08cb6", 0},
+	}
+	genCfg := map[string]lac.Config{
+		"mult4-nmed-resub": {EnableResub: true, EnableResub3: true},
 	}
 
 	runs, guardRounds, revertedRounds, heuristicMIS := 0, 0, 0, 0
@@ -69,6 +80,7 @@ func TestGoldenTrajectories(t *testing.T) {
 						NumPatterns: 1024,
 						Workers:     workers,
 						Incremental: incremental,
+						GenCfg:      genCfg[tc.name],
 						Params:      Params{Seed: 7, MaxRounds: 30, LD: tc.ld},
 					})
 					var buf bytes.Buffer

@@ -287,19 +287,94 @@ func (g *Graph) MFFCSize(id int, refs []int) int {
 	return size
 }
 
-// MFFCSizeExcluding returns the MFFC size of node id while holding
-// the keep nodes externally referenced. It models the area freed by
-// replacing id with a function of the keep nodes: any part of id's
-// cone feeding a keep node survives the replacement.
-func (g *Graph) MFFCSizeExcluding(id int, refs []int, keep []int) int {
-	for _, k := range keep {
-		refs[k]++
+// MFFC is reusable scratch for sizing the maximum fanout-free cone of
+// one node at a time and asking how much of it a replacement keeps
+// alive. Mark marks a node's cone in one dereference pass; Kept then
+// answers for any SN set of that node without touching refs again. A
+// scratch serves one goroutine.
+type MFFC struct {
+	g     *Graph
+	refs  []int
+	in    []uint32 // in[x] == inEpoch: x lies in the marked cone
+	seen  []uint32 // seen[x] == seenEpoch: the current Kept walk visited x
+	freed []int
+	stack []int
+
+	inEpoch, seenEpoch uint32
+}
+
+// NewMFFC returns MFFC scratch for g over refs, which must come from
+// RefCounts. Mark mutates refs and restores it before returning, so
+// refs may be shared with other readers on the same goroutine.
+func (g *Graph) NewMFFC(refs []int) *MFFC {
+	return &MFFC{g: g, refs: refs, in: make([]uint32, len(g.nodes)), seen: make([]uint32, len(g.nodes))}
+}
+
+// Mark marks the MFFC of node id and returns its size, as MFFCSize
+// does. The cone stays marked until the next Mark.
+func (m *MFFC) Mark(id int) int {
+	if m.g.nodes[id].Kind != KindAnd {
+		m.inEpoch = nextEpoch(m.in, m.inEpoch)
+		return 0
 	}
-	size := g.MFFCSize(id, refs)
-	for _, k := range keep {
-		refs[k]--
+	m.freed = m.freed[:0]
+	size := m.g.mffcDeref(id, m.refs, &m.freed)
+	m.inEpoch = nextEpoch(m.in, m.inEpoch)
+	m.in[id] = m.inEpoch
+	// The dereference recursed into exactly the AND nodes whose count
+	// reached zero: the cone below id.
+	for _, f := range m.freed {
+		if m.refs[f] == 0 && m.g.nodes[f].Kind == KindAnd {
+			m.in[f] = m.inEpoch
+		}
+	}
+	for _, f := range m.freed {
+		m.refs[f]++
 	}
 	return size
+}
+
+// Kept returns how many nodes of the marked cone lie in the transitive
+// fanin of sns, sns included: the part of the cone that survives
+// replacing the root by a function of sns. Mark's size minus Kept is
+// the MFFC size with sns held externally referenced. The two agree
+// because every non-root cone node has all its fanouts inside the
+// cone: a cone node feeds an SN only through cone nodes, so the walk
+// never leaves the cone, and every cone node it misses loses all its
+// references once the root does.
+func (m *MFFC) Kept(sns []int) int {
+	m.seenEpoch = nextEpoch(m.seen, m.seenEpoch)
+	stack := m.stack[:0]
+	kept := 0
+	visit := func(x int) {
+		if m.in[x] == m.inEpoch && m.seen[x] != m.seenEpoch {
+			m.seen[x] = m.seenEpoch
+			kept++
+			stack = append(stack, x)
+		}
+	}
+	for _, s := range sns {
+		visit(s)
+	}
+	for len(stack) > 0 {
+		n := m.g.nodes[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		visit(n.Fanin0.Node())
+		visit(n.Fanin1.Node())
+	}
+	m.stack = stack
+	return kept
+}
+
+// nextEpoch advances a stamp array's epoch, clearing the array when the
+// counter wraps so that no stale stamp can match.
+func nextEpoch(stamps []uint32, epoch uint32) uint32 {
+	epoch++
+	if epoch == 0 {
+		clear(stamps)
+		epoch = 1
+	}
+	return epoch
 }
 
 // mffcDeref recursively dereferences the fanins of id, counting nodes

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"accals/internal/aig"
@@ -12,18 +14,38 @@ import (
 )
 
 // sortByDeltaE orders LACs by ascending estimated error increase,
-// breaking ties by larger gain, then by target id for determinism.
+// breaking ties by larger gain, then by target id, then by input
+// position: the order a stable sort on the first three keys gives.
+// Sorting a key array and then permuting avoids the reflection-based
+// swapper of sort.SliceStable. ΔE is always finite (the comparator
+// contract), so the float comparison is a total order.
 func sortByDeltaE(lacs []*lac.LAC) {
-	sort.SliceStable(lacs, func(i, j int) bool {
-		a, b := lacs[i], lacs[j]
-		if a.DeltaE != b.DeltaE {
-			return a.DeltaE < b.DeltaE
+	type key struct {
+		dE           float64
+		gain, target int
+		pos          int
+		l            *lac.LAC
+	}
+	keys := make([]key, len(lacs))
+	for i, l := range lacs {
+		keys[i] = key{l.DeltaE, l.Gain, l.Target, i, l}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		switch {
+		case a.dE < b.dE:
+			return -1
+		case a.dE > b.dE:
+			return 1
+		case a.gain != b.gain:
+			return cmp.Compare(b.gain, a.gain)
+		case a.target != b.target:
+			return cmp.Compare(a.target, b.target)
 		}
-		if a.Gain != b.Gain {
-			return a.Gain > b.Gain
-		}
-		return a.Target < b.Target
+		return cmp.Compare(a.pos, b.pos)
 	})
+	for i, k := range keys {
+		lacs[i] = k.l
+	}
 }
 
 // obtainTopSet implements ObtainTopSet (Section II-B): it returns the
@@ -57,67 +79,61 @@ func obtainTopSet(sorted []*lac.LAC, e, eb float64, rRef int) []*lac.LAC {
 	return sorted[:rTop]
 }
 
-// findSolveLACConf implements FindSolveLACConf (Section II-C): build
-// the LAC conflict graph over lTop and greedily extract a
-// conflict-free subset in ascending weight (error increase) order.
-// It returns the conflict-free LACs, their target-node set, and the
-// conflict graph's edge count (a round-ledger column).
+// findSolveLACConf implements FindSolveLACConf (Section II-C): it
+// extracts a conflict-free subset of lTop in ascending weight (error
+// increase) order. It returns the conflict-free LACs, their target-node
+// set, and the edge count of the LAC conflict graph (a round-ledger
+// column).
 //
-// Conflicts: Type 1 -- two LACs share a target node; Type 2 -- an SN
-// of one LAC is the TN of the other.
+// Conflicts (Definition 1): Type 1 -- two LACs share a target node;
+// Type 2 -- an SN of one LAC is the TN of the other. lTop is sorted by
+// ascending ΔE, the node weights, so the paper's heuristic is the
+// in-order greedy over the conflict graph: take each LAC that has no
+// edge to one already taken. That needs no graph. A LAC conflicts with
+// the taken ones exactly when its target is a taken target (Type 1) or
+// a taken SN (Type 2), or one of its SNs is a taken target (Type 2).
+//
+// The edge count is Σ_t C(k_t, 2) + Σ_i Σ_{s ∈ SNs(i)} k_s, where k_x
+// is the number of LACs targeting x. No pair is counted twice: a LAC's
+// SNs are distinct and below its target, so two LACs cannot conflict
+// by both types, nor by Type 2 in both directions.
 func findSolveLACConf(lTop []*lac.LAC) (lSol []*lac.LAC, nSol []int, confEdges int) {
-	g := BuildConflictGraph(lTop)
-	// lTop is sorted by ascending DeltaE already (the node weights),
-	// so a simple in-order greedy matches the paper's heuristic.
-	selected := make([]int, 0, len(lTop))
-	for v := 0; v < g.N(); v++ {
-		ok := true
-		for _, u := range selected {
-			if g.HasEdge(u, v) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			selected = append(selected, v)
-		}
-	}
-	for _, v := range selected {
-		lSol = append(lSol, lTop[v])
-		nSol = append(nSol, lTop[v].Target)
-	}
-	return lSol, nSol, g.NumEdges()
-}
-
-// BuildConflictGraph constructs the LAC conflict graph of Definition 1:
-// one vertex per LAC, an edge for every Type-1 or Type-2 conflict.
-// Exported for tests and for the conflict-analysis example.
-func BuildConflictGraph(lacs []*lac.LAC) *mis.Graph {
-	g := mis.NewGraph(len(lacs))
-	// Index LACs by target node for Type-1 and Type-2 detection.
-	byTarget := make(map[int][]int, len(lacs))
-	for i, l := range lacs {
-		byTarget[l.Target] = append(byTarget[l.Target], i)
-	}
-	// Type 1: same target node.
-	for _, idxs := range byTarget {
-		for a := 0; a < len(idxs); a++ {
-			for b := a + 1; b < len(idxs); b++ {
-				g.AddEdge(idxs[a], idxs[b])
-			}
-		}
-	}
-	// Type 2: an SN of one LAC is the TN of another.
-	for i, l := range lacs {
+	maxID := 0
+	for _, l := range lTop {
+		maxID = max(maxID, l.Target)
 		for _, sn := range l.SNs {
-			for _, j := range byTarget[sn] {
-				if j != i {
-					g.AddEdge(i, j)
-				}
-			}
+			maxID = max(maxID, sn)
 		}
 	}
-	return g
+	// k[x] counts the LACs targeting x. Each LAC adds the count of the
+	// earlier ones sharing its target, which sums to Σ_t C(k_t, 2).
+	k := make([]int32, maxID+1)
+	for _, l := range lTop {
+		confEdges += int(k[l.Target])
+		k[l.Target]++
+	}
+	const (
+		takenTarget = 1 << iota
+		takenSN
+	)
+	taken := make([]uint8, maxID+1)
+	for _, l := range lTop {
+		ok := taken[l.Target] == 0
+		for _, sn := range l.SNs {
+			confEdges += int(k[sn])
+			ok = ok && taken[sn]&takenTarget == 0
+		}
+		if !ok {
+			continue
+		}
+		taken[l.Target] |= takenTarget
+		for _, sn := range l.SNs {
+			taken[sn] |= takenSN
+		}
+		lSol = append(lSol, l)
+		nSol = append(nSol, l.Target)
+	}
+	return lSol, nSol, confEdges
 }
 
 // buildGSol builds SelectIndpLACs' graph G_sol over distinct target

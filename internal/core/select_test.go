@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"accals/internal/aig"
@@ -11,6 +12,7 @@ import (
 	"accals/internal/errmetric"
 	"accals/internal/estimator"
 	"accals/internal/lac"
+	"accals/internal/mis"
 	"accals/internal/simulate"
 )
 
@@ -29,6 +31,127 @@ func paperExample() []*lac.LAC {
 		mkLAC(5, []int{3, 4}, 0.04), // T4: L({3,4},5)
 		mkLAC(6, []int{5}, 0.05),    // T5: L({5},6)
 		mkLAC(7, []int{8, 9}, 0.06), // T6: L({8,9},7)
+	}
+}
+
+// BuildConflictGraph constructs the LAC conflict graph of Definition 1:
+// one vertex per LAC, an edge for every Type-1 or Type-2 conflict. It
+// is the oracle for findSolveLACConf, which decides the same greedy and
+// counts the same edges without building the graph.
+func BuildConflictGraph(lacs []*lac.LAC) *mis.Graph {
+	g := mis.NewGraph(len(lacs))
+	// Index LACs by target node for Type-1 and Type-2 detection.
+	byTarget := make(map[int][]int, len(lacs))
+	for i, l := range lacs {
+		byTarget[l.Target] = append(byTarget[l.Target], i)
+	}
+	// Type 1: same target node.
+	for _, idxs := range byTarget {
+		for a := 0; a < len(idxs); a++ {
+			for b := a + 1; b < len(idxs); b++ {
+				g.AddEdge(idxs[a], idxs[b])
+			}
+		}
+	}
+	// Type 2: an SN of one LAC is the TN of another.
+	for i, l := range lacs {
+		for _, sn := range l.SNs {
+			for _, j := range byTarget[sn] {
+				if j != i {
+					g.AddEdge(i, j)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// refFindSolveLACConf is FindSolveLACConf on the built conflict graph:
+// the in-order greedy over lTop, taking each LAC with no edge to one
+// already taken.
+func refFindSolveLACConf(lTop []*lac.LAC) (lSol []*lac.LAC, nSol []int, confEdges int) {
+	g := BuildConflictGraph(lTop)
+	var selected []int
+	for v := 0; v < g.N(); v++ {
+		ok := true
+		for _, u := range selected {
+			if g.HasEdge(u, v) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			selected = append(selected, v)
+		}
+	}
+	for _, v := range selected {
+		lSol = append(lSol, lTop[v])
+		nSol = append(nSol, lTop[v].Target)
+	}
+	return lSol, nSol, g.NumEdges()
+}
+
+// randomTop draws an L_top-like list of n LACs over targets 1..span:
+// shared targets, SNs that are other LACs' targets (chains of Type-2
+// conflicts), and 0–3 distinct SNs per LAC, each below its target.
+// ΔE, gain and target repeat often, so sorts meet ties on every key.
+func randomTop(rng *rand.Rand, n, span int) []*lac.LAC {
+	lacs := make([]*lac.LAC, n)
+	for i := range lacs {
+		target := 2 + rng.Intn(span)
+		var sns []int
+		for _, sn := range rng.Perm(target - 1)[:min(rng.Intn(4), target-1)] {
+			sns = append(sns, sn+1)
+		}
+		l := mkLAC(target, sns, float64(rng.Intn(4))*0.01)
+		l.Gain = 1 + rng.Intn(3)
+		lacs[i] = l
+	}
+	return lacs
+}
+
+func TestFindSolveLACConfMatchesGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(80)
+		lTop := randomTop(rng, n, 1+rng.Intn(2*n))
+		lSol, nSol, edges := findSolveLACConf(lTop)
+		wantSol, wantN, wantEdges := refFindSolveLACConf(lTop)
+		if edges != wantEdges {
+			t.Fatalf("trial %d: %d conflict edges, want %d", trial, edges, wantEdges)
+		}
+		if len(lSol) != len(wantSol) || len(nSol) != len(wantN) {
+			t.Fatalf("trial %d: |L_sol| = %d, want %d", trial, len(lSol), len(wantSol))
+		}
+		for i := range wantSol {
+			if lSol[i] != wantSol[i] || nSol[i] != wantN[i] {
+				t.Fatalf("trial %d: L_sol[%d] = %v, want %v", trial, i, lSol[i], wantSol[i])
+			}
+		}
+	}
+}
+
+func TestSortByDeltaEMatchesStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 300; trial++ {
+		got := randomTop(rng, rng.Intn(200), 1+rng.Intn(20))
+		want := append([]*lac.LAC(nil), got...)
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.DeltaE != b.DeltaE {
+				return a.DeltaE < b.DeltaE
+			}
+			if a.Gain != b.Gain {
+				return a.Gain > b.Gain
+			}
+			return a.Target < b.Target
+		})
+		sortByDeltaE(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: position %d holds %v, want %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -155,18 +155,18 @@ func TestIsNoopDetectsSelfRebuild(t *testing.T) {
 	target := ab.Node()
 
 	noop := &LAC{Target: target, SNs: []int{a.Node(), b.Node()}, Fn: Fn{Kind: FnXor, OutC: true}, Gain: 1}
-	if !isNoop(g, noop) {
+	if !isNoop(g, noop.Target, noop.SNs, noop.Fn) {
 		t.Fatal("XNOR self-rebuild not detected as a no-op")
 	}
 	// The uncomplemented variant resolves to !target: a different
 	// literal (and it would never have zero deviation anyway).
 	inv := &LAC{Target: target, SNs: []int{a.Node(), b.Node()}, Fn: Fn{Kind: FnXor}, Gain: 1}
-	if isNoop(g, inv) {
+	if isNoop(g, inv.Target, inv.SNs, inv.Fn) {
 		t.Fatal("complement-valued rebuild wrongly flagged")
 	}
 	// A genuinely different function is not a no-op.
 	and := &LAC{Target: target, SNs: []int{a.Node(), b.Node()}, Fn: Fn{Kind: FnAnd}, Gain: 1}
-	if isNoop(g, and) {
+	if isNoop(g, and.Target, and.SNs, and.Fn) {
 		t.Fatal("AND flagged as no-op of an XNOR node")
 	}
 	// A plain AND self-rebuild is also caught.
@@ -178,7 +178,7 @@ func TestIsNoopDetectsSelfRebuild(t *testing.T) {
 	outer := g2.And(inner, e)
 	g2.AddPO(outer, "y")
 	noop2 := &LAC{Target: outer.Node(), SNs: []int{inner.Node(), e.Node()}, Fn: Fn{Kind: FnAnd}, Gain: 1}
-	if !isNoop(g2, noop2) {
+	if !isNoop(g2, noop2.Target, noop2.SNs, noop2.Fn) {
 		t.Fatal("AND self-rebuild not detected")
 	}
 }
@@ -193,7 +193,7 @@ func TestGenerateSkipsNoopResubs(t *testing.T) {
 	for _, l := range cands {
 		switch l.Fn.Kind {
 		case FnAnd, FnXor, FnMux, FnMaj:
-			if isNoop(g, l) {
+			if isNoop(g, l.Target, l.SNs, l.Fn) {
 				t.Fatalf("no-op candidate generated: %v", l)
 			}
 		}
@@ -232,5 +232,69 @@ func TestGenerateTripleCandidatesValid(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no ternary candidates generated with EnableResub3 on any benchmark")
+	}
+}
+
+// TestGenerateTargetsNeverNil pins the contract the incremental
+// Generator relies on: a target whose candidates are all filtered out
+// still gets a non-nil, empty list, because nil means "not generated".
+func TestGenerateTargetsNeverNil(t *testing.T) {
+	g := circuits.ArrayMult(4)
+	res := simulate.MustRun(g, simulate.NewPatterns(g.NumPIs(), 512, 1))
+	refs := g.RefCounts()
+	for _, workers := range []int{1, 2} {
+		cfg := resolve(Config{MinGain: 1 << 30, Workers: workers}, g.NumAnds())
+		for i, cands := range generateTargets(g, res, cfg, liveTargets(g, refs), refs, buildSignatureIndex(g, res)) {
+			if cands == nil || len(cands) != 0 {
+				t.Fatalf("workers=%d: target %d list = %v, want non-nil and empty", workers, i, cands)
+			}
+		}
+	}
+}
+
+// generateInput simulates a registry circuit under 8192 patterns, the
+// synthesis default, for the generation benchmarks and allocation pins.
+func generateInput(tb testing.TB, name string) (*aig.Graph, *simulate.Result) {
+	tb.Helper()
+	g, err := circuits.ByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, simulate.MustRun(g, simulate.NewPatterns(g.NumPIs(), 8192, 1))
+}
+
+// BenchmarkGenerate times one full candidate generation at workers 1
+// under the default config: mtp8 (the NMED workload's multiplier), sin
+// (5,251 ANDs, the largest synthbench circuit) and wal8.
+func BenchmarkGenerate(b *testing.B) {
+	for _, name := range []string{"mtp8", "sin", "wal8"} {
+		b.Run(name, func(b *testing.B) {
+			g, res := generateInput(b, name)
+			cfg := Config{Workers: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n = len(Generate(g, res, cfg))
+			}
+			b.ReportMetric(float64(n), "cands/op")
+		})
+	}
+}
+
+// TestGenerateAllocsFlat pins that a generation call's allocations do
+// not grow with the circuit: per-target work runs in reused per-shard
+// scratch, and the kept LACs come from slabs. mtp8 (624 ANDs) and sin
+// (5,251 ANDs) stay under one small bound.
+func TestGenerateAllocsFlat(t *testing.T) {
+	const bound = 100
+	for _, name := range []string{"mtp8", "sin"} {
+		g, res := generateInput(t, name)
+		cfg := Config{Workers: 1}
+		if n := testing.AllocsPerRun(2, func() { Generate(g, res, cfg) }); n > bound {
+			t.Errorf("%s: %.0f allocations per Generate call, want at most %d", name, n, bound)
+		} else {
+			t.Logf("%s: %.0f allocations per Generate call", name, n)
+		}
 	}
 }

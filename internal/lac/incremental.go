@@ -46,10 +46,10 @@ import (
 //     different global candidate scan.
 //
 // Everything outside those sets provably generates the identical list,
-// because generateForTarget only reads the target's depth-bounded TFI
-// window (values, structure, reference counts), the structural hash
-// within three levels of the window, and the value-keyed signature
-// buckets.
+// because per-target generation (scratch.generate) only reads the
+// target's depth-bounded TFI window (values, structure, reference
+// counts), the structural hash within three levels of the window, and
+// the value-keyed signature buckets.
 type Generator struct {
 	workers int
 
@@ -328,7 +328,14 @@ func (gen *Generator) store(g *aig.Graph, key Config, res *simulate.Result, refs
 // flatten concatenates per-target lists in ascending target order,
 // matching package-level Generate's output order.
 func flatten(targets []int, perID [][]*LAC) []*LAC {
-	var out []*LAC
+	total := 0
+	for _, t := range targets {
+		total += len(perID[t])
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]*LAC, 0, total)
 	for _, t := range targets {
 		out = append(out, perID[t]...)
 	}

@@ -262,13 +262,15 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		startUncertified = !ok || e > errBound
 	}
 
-	// The parallel evaluation engine: a sharded simulation runner and
-	// a sharded estimator sharing the run's worker budget. Workers: 1
+	// The parallel evaluation engine: a sharded simulation runner, a
+	// sharded estimator and the selector (ranking, G_sol and MIS
+	// scratch) sharing the run's worker budget. Workers: 1
 	// is the exact legacy sequential path; any other count produces
 	// bit-identical results (fixed shard boundaries, order-free
 	// merges), so the trajectory below never depends on Workers.
 	runner := simulate.NewRunner(opt.Workers)
 	est := estimator.New(opt.Workers)
+	sel := newSelector(opt.Workers)
 	parallel := runner.Workers() > 1
 	rec.SetWorkers(runner.Workers())
 	genCfg.Workers = opt.Workers
@@ -452,7 +454,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 			break
 		}
 		opt.estimate(est, g, simRes, cmp, cands)
-		sortByDeltaE(cands)
+		sel.rankTop(cands, params.RRef)
 
 		var applied []*lac.LAC
 		if e > params.LE*errBound && !params.DisableImprovements {
@@ -475,7 +477,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 			if !params.DisableIndp {
 				sp = rec.StartPhase(round, obs.PhaseMIS)
 				var ist indpStats
-				lIndp, ist = selectIndpLACs(g, lSol, e, errBound, params)
+				lIndp, ist = sel.selectIndp(g, lSol, e, errBound, params)
 				rs.InflPairs, rs.InflAbove, rs.MISSize = ist.pairs, ist.above, ist.misSize
 				sp.End()
 			}

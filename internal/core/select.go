@@ -11,47 +11,143 @@ import (
 	"accals/internal/aig"
 	"accals/internal/lac"
 	"accals/internal/mis"
+	"accals/internal/par"
 )
 
-// sortByDeltaE orders LACs by ascending estimated error increase,
-// breaking ties by larger gain, then by target id, then by input
-// position: the order a stable sort on the first three keys gives.
-// Sorting a key array and then permuting avoids the reflection-based
-// swapper of sort.SliceStable. ΔE is always finite (the comparator
-// contract), so the float comparison is a total order.
+// rankKey is a candidate's ranking key: ascending ΔE, then larger
+// gain, then lower target id, then earlier input position. ΔE is always
+// finite (the comparator contract) and positions are distinct, so the
+// key is a strict total order.
+type rankKey struct {
+	dE           float64
+	gain, target int
+	pos          int
+	l            *lac.LAC
+}
+
+func compareKeys(a, b rankKey) int {
+	switch {
+	case a.dE < b.dE:
+		return -1
+	case a.dE > b.dE:
+		return 1
+	case a.gain != b.gain:
+		return cmp.Compare(b.gain, a.gain)
+	case a.target != b.target:
+		return cmp.Compare(a.target, b.target)
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// sortByDeltaE orders LACs by their rankKey: the order a stable sort on
+// (ΔE, −gain, target) gives. Sorting a key array and then permuting
+// avoids the reflection-based swapper of sort.SliceStable.
 func sortByDeltaE(lacs []*lac.LAC) {
-	type key struct {
-		dE           float64
-		gain, target int
-		pos          int
-		l            *lac.LAC
-	}
-	keys := make([]key, len(lacs))
+	keys := make([]rankKey, len(lacs))
 	for i, l := range lacs {
-		keys[i] = key{l.DeltaE, l.Gain, l.Target, i, l}
+		keys[i] = rankKey{l.DeltaE, l.Gain, l.Target, i, l}
 	}
-	slices.SortFunc(keys, func(a, b key) int {
-		switch {
-		case a.dE < b.dE:
-			return -1
-		case a.dE > b.dE:
-			return 1
-		case a.gain != b.gain:
-			return cmp.Compare(b.gain, a.gain)
-		case a.target != b.target:
-			return cmp.Compare(a.target, b.target)
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	slices.SortFunc(keys, compareKeys)
 	for i, k := range keys {
 		lacs[i] = k.l
+	}
+}
+
+// rankTop ranks the part of a round's candidate list that selection
+// reads. With r_min the number of candidates tied at the minimum ΔE, it
+// moves the k = max(rRef, r_min) candidates that sort first to the
+// front, in sortByDeltaE order, and the rest behind them in input
+// order. The key is a strict total order, so the ranked prefix is
+// exactly the prefix of sortByDeltaE(cands): it holds the single best
+// LAC cands[0] and every top set obtainTopSet can return.
+//
+// One pass collects the candidates tied at the minimum. They are the
+// whole prefix when k = r_min, the usual case when ties are many;
+// otherwise a second pass keeps the k smallest keys in a max-heap,
+// which most candidates leave after one comparison with its root.
+// Only the k prefix keys are sorted.
+func (s *selector) rankTop(cands []*lac.LAC, rRef int) {
+	n := len(cands)
+	if n == 0 {
+		return
+	}
+	h := s.keys[:0]
+	minE := cands[0].DeltaE
+	for i, l := range cands {
+		if l.DeltaE < minE {
+			minE, h = l.DeltaE, h[:0]
+		}
+		if l.DeltaE == minE {
+			h = append(h, rankKey{l.DeltaE, l.Gain, l.Target, i, l})
+		}
+	}
+	if k := min(n, max(rRef, len(h))); k > len(h) {
+		h = h[:0]
+		for i, l := range cands {
+			key := rankKey{l.DeltaE, l.Gain, l.Target, i, l}
+			switch {
+			case len(h) < k:
+				if h = append(h, key); len(h) == k {
+					for j := k/2 - 1; j >= 0; j-- {
+						siftDown(h, j)
+					}
+				}
+			case compareKeys(key, h[0]) < 0:
+				h[0] = key
+				siftDown(h, 0)
+			}
+		}
+	}
+	s.keys = h
+	slices.SortFunc(h, compareKeys)
+	// Compact the unranked candidates to the back, last first: the write
+	// index never falls below the read index.
+	ranked := slices.Grow(s.ranked[:0], n)[:n]
+	s.ranked = ranked
+	clear(ranked)
+	for _, key := range h {
+		ranked[key.pos] = true
+	}
+	w := n
+	for i := n - 1; i >= 0; i-- {
+		if !ranked[i] {
+			w--
+			cands[w] = cands[i]
+		}
+	}
+	for i, key := range h {
+		cands[i] = key.l
+	}
+	// Drop the LAC pointers: the scratch must not keep a round's
+	// candidates, and their slabs, alive into the next round.
+	clear(h)
+}
+
+// siftDown restores the max-heap order of h below position i.
+func siftDown(h []rankKey, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && compareKeys(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if compareKeys(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
 // obtainTopSet implements ObtainTopSet (Section II-B): it returns the
 // r_top candidates with the smallest error increases, where r_top
 // follows Eq. (2) and shrinks as the error approaches the bound.
-// The input slice must already be sorted by sortByDeltaE.
+// Errors are never negative, so r_top <= max(rRef, r_min), and the
+// input needs only the order rankTop gives: its first max(rRef, r_min)
+// entries in sortByDeltaE order, and none of the rest at the minimum
+// ΔE. A fully sorted list qualifies.
 func obtainTopSet(sorted []*lac.LAC, e, eb float64, rRef int) []*lac.LAC {
 	if len(sorted) == 0 {
 		return nil
@@ -136,64 +232,122 @@ func findSolveLACConf(lTop []*lac.LAC) (lSol []*lac.LAC, nSol []int, confEdges i
 	return lSol, nSol, confEdges
 }
 
+// selector is a run's selection scratch: the worker budget and the
+// buffers that ranking, G_sol construction and the MIS solve reuse from
+// round to round, each sized to the largest round so far. Like
+// estimator.Estimator, it is not safe for concurrent use.
+type selector struct {
+	workers int
+	// keys holds rankTop's keys, ranked its per-candidate marks.
+	keys   []rankKey
+	ranked []bool
+	// fan packs F(x) for every node x from the lowest target up; off
+	// indexes it (see fanoutRows).
+	fan []uint64
+	off []int
+	gs  mis.Graph
+}
+
+// newSelector returns a selector with the given worker budget (see
+// par.Resolve).
+func newSelector(workers int) *selector {
+	return &selector{workers: par.Resolve(workers)}
+}
+
+// fanoutRows computes F(x), the transitive fanout of x including x,
+// for every node x >= lo in one reverse-topological pass:
+// F(x) = {x} ∪ ⋃ F(y) over the fanouts y of x. Ids are topological, so
+// F(x) ⊆ [x, NumNodes) and row x stores only words x>>6 up to the last;
+// rows are packed back to back and row(x) returns x's.
+func (s *selector) fanoutRows(g *aig.Graph, fanouts [][]int, lo int) (row func(x int) []uint64, w int) {
+	nn := g.NumNodes()
+	w = (nn + 63) / 64
+	s.off = slices.Grow(s.off[:0], nn-lo+1)[:nn-lo+1]
+	off := s.off
+	total := 0
+	for x := lo; x < nn; x++ {
+		off[x-lo] = total
+		total += w - x>>6
+	}
+	off[nn-lo] = total
+	s.fan = slices.Grow(s.fan[:0], total)[:total]
+	fan := s.fan
+	row = func(x int) []uint64 { return fan[off[x-lo]:off[x-lo+1]:off[x-lo+1]] }
+	for x := nn - 1; x >= lo; x-- {
+		rx := row(x)
+		clear(rx)
+		rx[0] = 1 << (uint(x) & 63)
+		for _, y := range fanouts[x] {
+			dst := rx[y>>6-x>>6:]
+			for i, word := range row(y) {
+				dst[i] |= word
+			}
+		}
+	}
+	return row, w
+}
+
+// gsolRow is one target of G_sol in the pair loop's topological order.
+type gsolRow struct {
+	v, x int      // G_sol vertex and target node
+	f    []uint64 // F(x), from word x>>6 on
+	size int      // |F(x)|
+	last int      // index of F(x)'s last non-empty word
+	// need is the least overlap i with float64(i)/float64(size) > tb,
+	// or NumNodes+1 when none reaches it.
+	need int
+}
+
 // buildGSol builds SelectIndpLACs' graph G_sol over distinct target
 // nodes, one vertex per entry: an edge joins two targets whose
 // structural mutual-influence index p_ji exceeds tb. For the pair in
 // topological order (e < l), p_ji is 1/d when l lies in e's transitive
 // fanout at shortest directed distance d, and otherwise the overlap
 // |F(e) ∩ F(l)| / |F(l)| of their transitive fanouts (each including
-// its root). It returns the graph, the number of pairs scored and the
-// number of edges.
+// its root). It returns the graph, which the selector reuses on its
+// next call, the number of pairs scored and the number of edges.
 //
-// Every edge is decided exactly, in one pass that computes each
-// target's fanout set once. A connected pair has 1/d > tb iff d is at
-// most a depth maxD fixed by tb, so a BFS from e bounded at maxD
-// replaces the distance vector; at the paper's t_b = 0.5, maxD = 1 and
-// l must be a direct fanout of e. For the other pairs the overlap has
-// at most |F(e)| elements and float division by |F(l)| is monotone,
-// so the popcount is skipped unless |F(e)|/|F(l)| exceeds tb; otherwise
-// it covers only the words both sets can share, since F(x) ⊆
-// [x, NumNodes) for topological ids.
-func buildGSol(g *aig.Graph, targets []int, tb float64) (gs *mis.Graph, pairs, above int) {
+// Every edge is decided exactly, in one pass over the pairs with every
+// fanout set computed beforehand (fanoutRows). A connected pair has
+// 1/d > tb iff d is at most a depth maxD fixed by tb, so a BFS from e
+// bounded at maxD replaces the distance vector; at the paper's
+// t_b = 0.5, maxD = 1 and l must be a direct fanout of e. For the other
+// pairs, float division by |F(l)| is monotone in the overlap, so the
+// overlap ratio exceeds tb iff the overlap reaches need(l), the least
+// integer whose ratio does. The overlap has at most |F(e)| elements, so
+// the popcount is skipped when |F(e)| < need(l); otherwise it covers
+// only the words both sets can share.
+//
+// The pair loop is sharded over the workers by contiguous blocks of
+// rows holding about equal numbers of pairs (row a has n-1-a). Each
+// shard sets the arc from e's vertex to l's in G_sol rows only it
+// owns, and one mirror pass then completes the edges and degrees, so
+// the graph does not depend on the worker count.
+func (s *selector) buildGSol(g *aig.Graph, targets []int, tb float64) (gs *mis.Graph, pairs, above int) {
 	n := len(targets)
-	gs = mis.NewGraph(n)
+	gs = &s.gs
+	gs.Reset(n)
+	if n < 2 {
+		return gs, 0, 0
+	}
 	fanouts := g.Fanouts()
 	nn := g.NumNodes()
-	w := (nn + 63) / 64
-	// Rows follow topological order: targets[ord[a]] < targets[ord[b]]
-	// for a < b.
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i
+	rows := make([]gsolRow, n)
+	for v, x := range targets {
+		rows[v].v, rows[v].x = v, x
 	}
-	sort.Slice(ord, func(a, b int) bool { return targets[ord[a]] < targets[ord[b]] })
-	// Row a of slab is F(targets[ord[a]]) as a bit vector, with its
-	// size and the index of its last non-empty word.
-	slab := make([]uint64, n*w)
-	size := make([]int, n)
-	last := make([]int, n)
-	var stack []int
-	for a, v := range ord {
-		row := slab[a*w : (a+1)*w]
-		x := targets[v]
-		row[x>>6] |= 1 << (uint(x) & 63)
-		stack = append(stack[:0], x)
-		for len(stack) > 0 {
-			y := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, z := range fanouts[y] {
-				if bit := uint64(1) << (uint(z) & 63); row[z>>6]&bit == 0 {
-					row[z>>6] |= bit
-					stack = append(stack, z)
-				}
-			}
-		}
-		for i, word := range row {
+	slices.SortFunc(rows, func(a, b gsolRow) int { return cmp.Compare(a.x, b.x) })
+	row, w := s.fanoutRows(g, fanouts, rows[0].x)
+	for a := range rows {
+		r := &rows[a]
+		r.f = row(r.x)
+		for i, word := range r.f {
 			if word != 0 {
-				size[a] += bits.OnesCount64(word)
-				last[a] = i
+				r.size += bits.OnesCount64(word)
+				r.last = r.x>>6 + i
 			}
 		}
+		r.need = sort.Search(nn+1, func(i int) bool { return float64(i)/float64(r.size) > tb })
 	}
 
 	// maxD is the largest distance whose p_ji = 1/d exceeds tb, capped
@@ -203,47 +357,74 @@ func buildGSol(g *aig.Graph, targets []int, tb float64) (gs *mis.Graph, pairs, a
 	for maxD < nn && 1/float64(maxD+1) > tb {
 		maxD++
 	}
-	// ball holds the nodes at distance 1..maxD from the current e.
-	ball := make([]uint64, w)
-	var frontier, next []int
-	for a := 0; a < n; a++ {
-		e := targets[ord[a]]
-		re := slab[a*w : (a+1)*w]
-		clear(ball)
-		frontier = append(frontier[:0], e)
-		for d := 0; d < maxD && len(frontier) > 0; d++ {
-			next = next[:0]
-			for _, y := range frontier {
-				for _, z := range fanouts[y] {
-					if bit := uint64(1) << (uint(z) & 63); ball[z>>6]&bit == 0 {
-						ball[z>>6] |= bit
-						next = append(next, z)
+
+	// Shard b scores rows bounds[b] to bounds[b+1]: from the first row
+	// whose preceding rows hold at least b/blocks of the pairs.
+	pairs = n * (n - 1) / 2
+	blocks := par.Blocks(s.workers, n)
+	bounds := make([]int, blocks+1)
+	for b, a, done := 1, 0, 0; b < blocks; b++ {
+		for a < n && done < b*pairs/blocks {
+			done += n - 1 - a
+			a++
+		}
+		bounds[b] = a
+	}
+	bounds[blocks] = n
+	aboves := make([]int, blocks)
+	par.For(blocks, blocks, func(shard, _, _ int) {
+		// ball holds the nodes at distance 1..maxD from the current e.
+		ball := make([]uint64, w)
+		var frontier, next []int
+		edges := 0
+		for a := bounds[shard]; a < bounds[shard+1]; a++ {
+			ra := &rows[a]
+			e := ra.x
+			clear(ball)
+			frontier = append(frontier[:0], e)
+			for d := 0; d < maxD && len(frontier) > 0; d++ {
+				next = next[:0]
+				for _, y := range frontier {
+					for _, z := range fanouts[y] {
+						if bit := uint64(1) << (uint(z) & 63); ball[z>>6]&bit == 0 {
+							ball[z>>6] |= bit
+							next = append(next, z)
+						}
 					}
 				}
+				frontier, next = next, frontier
 			}
-			frontier, next = next, frontier
-		}
-		for b := a + 1; b < n; b++ {
-			l := targets[ord[b]]
-			bit := uint64(1) << (uint(l) & 63)
-			edge := false
-			if re[l>>6]&bit != 0 {
-				edge = ball[l>>6]&bit != 0
-			} else if float64(size[a])/float64(size[b]) > tb {
-				rl := slab[b*w : (b+1)*w]
-				inter := 0
-				for i := l >> 6; i <= min(last[a], last[b]); i++ {
-					inter += bits.OnesCount64(re[i] & rl[i])
+			for b := a + 1; b < n; b++ {
+				rb := &rows[b]
+				l := rb.x
+				// Word l>>6 of F(e) and of F(l) is ra.f[lw] and rb.f[0].
+				lw := l>>6 - e>>6
+				bit := uint64(1) << (uint(l) & 63)
+				edge := false
+				if ra.f[lw]&bit != 0 {
+					edge = ball[l>>6]&bit != 0
+				} else if ra.size >= rb.need {
+					k := max(0, min(ra.last, rb.last)-l>>6+1)
+					x, y := ra.f[lw:lw+k], rb.f[:k]
+					inter := 0
+					for i, word := range y {
+						inter += bits.OnesCount64(word & x[i])
+					}
+					edge = inter >= rb.need
 				}
-				edge = float64(inter)/float64(size[b]) > tb
-			}
-			if edge {
-				gs.AddEdge(ord[a], ord[b])
-				above++
+				if edge {
+					gs.SetArc(ra.v, rb.v)
+					edges++
+				}
 			}
 		}
+		aboves[shard] = edges
+	})
+	gs.Symmetrize()
+	for _, c := range aboves {
+		above += c
 	}
-	return gs, n * (n - 1) / 2, above
+	return gs, pairs, above
 }
 
 // indpStats surfaces SelectIndpLACs' intermediate sizes for the round
@@ -254,20 +435,20 @@ type indpStats struct {
 	pairs, above, misSize int
 }
 
-// selectIndpLACs implements SelectIndpLACs (Section II-D): build the
+// selectIndp implements SelectIndpLACs (Section II-D): build the
 // graph G_sol over target nodes with edges where p_ji > t_b, solve an
 // MIS to obtain N_indp, and pick the final independent LAC set from
 // the potential set L_pote under the r_sel / λ·e_b budget.
-func selectIndpLACs(g *aig.Graph, lSol []*lac.LAC, e, eb float64, p Params) ([]*lac.LAC, indpStats) {
+func (s *selector) selectIndp(g *aig.Graph, lSol []*lac.LAC, e, eb float64, p Params) ([]*lac.LAC, indpStats) {
 	var st indpStats
 	if len(lSol) == 0 {
 		return nil, st
 	}
 	// After conflict resolution every LAC has a unique target, so
 	// G_sol's vertices map 1:1 to lSol entries.
-	gs, pairs, above := buildGSol(g, lac.Targets(lSol), p.TB)
+	gs, pairs, above := s.buildGSol(g, lac.Targets(lSol), p.TB)
 	st.pairs, st.above = pairs, above
-	nIndp := mis.Solve(gs, p.Seed)
+	nIndp := mis.Solve(gs, p.Seed, s.workers)
 	st.misSize = len(nIndp)
 
 	// L_pote: LACs whose targets are in N_indp, by ascending ΔE.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -150,6 +152,83 @@ func TestSortByDeltaEMatchesStable(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: position %d holds %v, want %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// tiedList draws n LACs of which exactly rMin tie at the minimum ΔE
+// (-0.01). The rest take ΔE from a few larger values, and gains and
+// targets repeat, so every key meets ties.
+func tiedList(rng *rand.Rand, n, rMin int) []*lac.LAC {
+	lacs := make([]*lac.LAC, n)
+	for i, pos := range rng.Perm(n) {
+		dE := -0.01
+		if i >= rMin {
+			dE = float64(rng.Intn(4)) * 0.01
+		}
+		l := mkLAC(1+rng.Intn(1+n/4), nil, dE)
+		l.Gain = 1 + rng.Intn(3)
+		lacs[pos] = l
+	}
+	return lacs
+}
+
+func TestRankTopMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sel := newSelector(1) // reused, as across a run's rounds
+	type tc struct{ n, rMin, rRef int }
+	cases := []tc{{0, 0, 5}, {1, 1, 5}, {1, 1, 1}, {2, 1, 1}, {2, 2, 1}}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		rMin := 1 + rng.Intn(n)
+		var rRef int
+		switch trial % 4 {
+		case 0: // r_min below r_ref
+			rRef = rMin + 1 + rng.Intn(n)
+		case 1: // equal
+			rRef = rMin
+		case 2: // above
+			rRef = rng.Intn(rMin)
+		case 3: // every candidate tied
+			rMin, rRef = n, rng.Intn(2*n)
+		}
+		cases = append(cases, tc{n, rMin, rRef})
+	}
+	for i, c := range cases {
+		input := tiedList(rng, c.n, c.rMin)
+		want := slices.Clone(input)
+		sortByDeltaE(want)
+		got := slices.Clone(input)
+		sel.rankTop(got, c.rRef)
+		k := min(c.n, max(c.rRef, c.rMin))
+		for j := 0; j < k; j++ {
+			if got[j] != want[j] {
+				t.Fatalf("case %d %+v: ranked position %d holds %v, want %v", i, c, j, got[j], want[j])
+			}
+		}
+		// The rest keep their input order behind the ranked prefix.
+		rest := got[k:]
+		for _, l := range input {
+			if len(rest) > 0 && l == rest[0] {
+				rest = rest[1:]
+			}
+		}
+		if len(rest) != 0 {
+			t.Fatalf("case %d %+v: unranked tail is not the input order of the rest", i, c)
+		}
+		for _, eb := range []float64{0, 0.001, 0.05, 1} {
+			for _, frac := range []float64{0, 0.1, 0.5, 0.9, 0.999, 1, 1.5} {
+				e := frac * eb
+				top, wantTop := obtainTopSet(got, e, eb, c.rRef), obtainTopSet(want, e, eb, c.rRef)
+				if len(top) != len(wantTop) {
+					t.Fatalf("case %d %+v e=%v eb=%v: |top| = %d, want %d", i, c, e, eb, len(top), len(wantTop))
+				}
+				for j := range wantTop {
+					if top[j] != wantTop[j] {
+						t.Fatalf("case %d %+v e=%v eb=%v: top[%d] differs", i, c, e, eb, j)
+					}
+				}
 			}
 		}
 	}
@@ -337,31 +416,51 @@ func refPjiMatrix(g *aig.Graph, targets []int) [][]float64 {
 	return p
 }
 
-// checkGSol fails t unless buildGSol's graph has exactly the edges
-// {i, j} with p[i][j] > tb, and its pair and edge counts match.
-func checkGSol(t *testing.T, g *aig.Graph, targets []int, p [][]float64, tb float64) {
+// checkGSol fails t unless the graph each selector builds has exactly
+// the edges {i, j} with p[i][j] > tb, degrees equal to its rows'
+// popcounts, and the right pair and edge counts. Selectors of different
+// worker counts check the sharded pair loop and the mirror pass.
+func checkGSol(t *testing.T, sels []*selector, g *aig.Graph, targets []int, p [][]float64, tb float64) {
 	t.Helper()
-	gs, pairs, above := buildGSol(g, targets, tb)
 	n := len(targets)
-	if pairs != n*(n-1)/2 {
-		t.Fatalf("tb=%v n=%d: pairs = %d, want %d", tb, n, pairs, n*(n-1)/2)
-	}
-	want := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edge := p[i][j] > tb
-			if edge {
-				want++
+	for _, sel := range sels {
+		gs, pairs, above := sel.buildGSol(g, targets, tb)
+		if pairs != n*(n-1)/2 {
+			t.Fatalf("workers=%d tb=%v n=%d: pairs = %d, want %d", sel.workers, tb, n, pairs, n*(n-1)/2)
+		}
+		want := 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				edge := p[i][j] > tb
+				if edge {
+					want++
+				}
+				if gs.HasEdge(i, j) != edge || gs.HasEdge(j, i) != edge {
+					t.Fatalf("workers=%d tb=%v n=%d: edge (%d, %d) = %v/%v, want %v (p_ji = %v)",
+						sel.workers, tb, n, targets[i], targets[j], gs.HasEdge(i, j), gs.HasEdge(j, i), edge, p[i][j])
+				}
 			}
-			if gs.HasEdge(i, j) != edge || gs.HasEdge(j, i) != edge {
-				t.Fatalf("tb=%v n=%d: edge (%d, %d) = %v, want %v (p_ji = %v)",
-					tb, n, targets[i], targets[j], gs.HasEdge(i, j), edge, p[i][j])
+		}
+		if above != want || gs.NumEdges() != want {
+			t.Fatalf("workers=%d tb=%v n=%d: above = %d, NumEdges = %d, want %d", sel.workers, tb, n, above, gs.NumEdges(), want)
+		}
+		for v := 0; v < n; v++ {
+			row := 0
+			for u := 0; u < n; u++ {
+				if gs.HasEdge(v, u) {
+					row++
+				}
+			}
+			if gs.Degree(v) != row {
+				t.Fatalf("workers=%d tb=%v n=%d: Degree(%d) = %d, row popcount %d", sel.workers, tb, n, v, gs.Degree(v), row)
 			}
 		}
 	}
-	if above != want || gs.NumEdges() != want {
-		t.Fatalf("tb=%v n=%d: above = %d, NumEdges = %d, want %d", tb, n, above, gs.NumEdges(), want)
-	}
+}
+
+// gsolSelectors returns fresh selectors at workers 1, 2 and 3.
+func gsolSelectors() []*selector {
+	return []*selector{newSelector(1), newSelector(2), newSelector(3)}
 }
 
 // andIDs returns g's AND node ids in a seeded random order.
@@ -396,6 +495,9 @@ func TestGSolMatchesReference(t *testing.T) {
 		{"chain", chain},
 	}
 	tbs := []float64{-1, 0.1, 0.2, 0.25, 1.0 / 3, 0.34, 0.5, 0.9, 1, 1.5}
+	// One set of selectors serves every circuit, size and t_b, so their
+	// scratch is reused across shapes as it is across rounds.
+	sels := gsolSelectors()
 	for ci, c := range circs {
 		t.Run(c.name, func(t *testing.T) {
 			// Unsorted targets, as L_sol lists them by ΔE. Each subset is
@@ -405,7 +507,7 @@ func TestGSolMatchesReference(t *testing.T) {
 			p := refPjiMatrix(c.g, ids)
 			for _, n := range []int{2, 3, 31, 63, 64, 65, 129, 300} {
 				for _, tb := range tbs {
-					checkGSol(t, c.g, ids[:min(n, len(ids))], p, tb)
+					checkGSol(t, sels, c.g, ids[:min(n, len(ids))], p, tb)
 				}
 			}
 		})
@@ -433,15 +535,15 @@ func FuzzGSolMatchesReference(f *testing.F) {
 				targets = append(targets, id)
 			}
 		}
-		checkGSol(t, g, targets, refPjiMatrix(g, targets), math.Float64frombits(tbBits))
+		checkGSol(t, gsolSelectors(), g, targets, refPjiMatrix(g, targets), math.Float64frombits(tbBits))
 	})
 }
 
 // BenchmarkSelectIndp times SelectIndpLACs (G_sol construction plus
-// the MIS solve) on a fixed L_sol: the first round of sin under ER
-// 0.1%, whose minimum-ΔE ties make L_sol far larger than r_ref. Set-up
-// (simulation, generation, estimation, conflict resolution) runs
-// before the timer starts.
+// the MIS solve) on a fixed L_sol at workers 1 and 2: the first round of
+// sin under ER 0.1%, whose minimum-ΔE ties make L_sol far larger than
+// r_ref. Set-up (simulation, generation, estimation, conflict
+// resolution) runs before the timer starts.
 func BenchmarkSelectIndp(b *testing.B) {
 	g, err := circuits.ByName("sin")
 	if err != nil {
@@ -460,14 +562,19 @@ func BenchmarkSelectIndp(b *testing.B) {
 	sortByDeltaE(cands)
 	params := Params{}.fillDefaults(g.NumAnds())
 	lSol, _, _ := findSolveLACConf(obtainTopSet(cands, 0, eb, params.RRef))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var st indpStats
-	for i := 0; i < b.N; i++ {
-		_, st = selectIndpLACs(g, lSol, 0, eb, params)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			sel := newSelector(workers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var st indpStats
+			for i := 0; i < b.N; i++ {
+				_, st = sel.selectIndp(g, lSol, 0, eb, params)
+			}
+			b.ReportMetric(float64(st.pairs), "pairs/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.pairs), "ns/pair")
+		})
 	}
-	b.ReportMetric(float64(st.pairs), "pairs/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.pairs), "ns/pair")
 }
 
 func TestInfluenceIndex(t *testing.T) {
@@ -496,10 +603,10 @@ func TestInfluenceIndex(t *testing.T) {
 	}
 	// buildGSol joins x and z exactly when 0.5 exceeds t_b.
 	targets := []int{z.Node(), x.Node()}
-	if gs, _, _ := buildGSol(g, targets, 0.49); !gs.HasEdge(0, 1) {
+	if gs, _, _ := newSelector(1).buildGSol(g, targets, 0.49); !gs.HasEdge(0, 1) {
 		t.Error("t_b=0.49: missing x-z chain edge")
 	}
-	if gs, _, above := buildGSol(g, targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
+	if gs, _, above := newSelector(1).buildGSol(g, targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
 		t.Error("t_b=0.5: unexpected x-z chain edge")
 	}
 }
@@ -521,10 +628,10 @@ func TestInfluenceIndexDisconnected(t *testing.T) {
 		t.Errorf("p(x1,x2) = %g, want 0.5", p)
 	}
 	targets := []int{x1.Node(), x2.Node()}
-	if gs, _, _ := buildGSol(g, targets, 0.49); !gs.HasEdge(0, 1) {
+	if gs, _, _ := newSelector(1).buildGSol(g, targets, 0.49); !gs.HasEdge(0, 1) {
 		t.Error("t_b=0.49: missing shared-fanout edge")
 	}
-	if gs, _, above := buildGSol(g, targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
+	if gs, _, above := newSelector(1).buildGSol(g, targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
 		t.Error("t_b=0.5: unexpected shared-fanout edge")
 	}
 }

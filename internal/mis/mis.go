@@ -4,52 +4,91 @@
 // conflict-free subset of the top set, whose size Eq. (2) bounds by
 // max(r_ref, r_min): when many candidates tie at the minimum error
 // increase, r_min can put well over a thousand vertices there (over
-// 1500 on the EPFL sin circuit under a 0.1% error-rate bound). Graphs
-// above 64 vertices take a greedy construction refined by (1,2)-swap
-// local search; an exact branch-and-bound solver handles graphs of up
-// to 64 vertices and is used in tests to validate the heuristic.
+// 1500 on the EPFL sin circuit under a 0.1% error-rate bound). Solve
+// answers graphs of up to 64 vertices with an exact branch-and-bound
+// solver and larger ones with a greedy construction refined by
+// (1,2)-swap local search, from nine starts.
 package mis
 
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
-	"accals/internal/bitset"
+	"accals/internal/par"
 )
 
-// Graph is a simple undirected graph on vertices 0..n-1.
+// Graph is a simple undirected graph on vertices 0..n-1. Its adjacency
+// rows live in one flat slab of w words per row: bit u of row v is set
+// when (u, v) is an edge.
 type Graph struct {
-	n   int
-	adj []*bitset.Set
-	deg []int
+	n, w int
+	adj  []uint64
+	deg  []int
 }
 
 // NewGraph returns an edgeless graph with n vertices.
 func NewGraph(n int) *Graph {
-	g := &Graph{n: n, adj: make([]*bitset.Set, n), deg: make([]int, n)}
-	for i := range g.adj {
-		g.adj[i] = bitset.New(n)
-	}
+	g := &Graph{}
+	g.Reset(n)
 	return g
+}
+
+// Reset makes g an edgeless graph with n vertices, reusing its storage.
+func (g *Graph) Reset(n int) {
+	g.n, g.w = n, (n+63)/64
+	g.adj = slices.Grow(g.adj[:0], n*g.w)[:n*g.w]
+	clear(g.adj)
+	g.deg = slices.Grow(g.deg[:0], n)[:n]
+	clear(g.deg)
 }
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
+// row returns vertex v's adjacency row.
+func (g *Graph) row(v int) []uint64 { return g.adj[v*g.w : (v+1)*g.w : (v+1)*g.w] }
+
 // AddEdge inserts the undirected edge (u, v). Self-loops are ignored.
 func (g *Graph) AddEdge(u, v int) {
-	if u == v || g.adj[u].Has(v) {
+	if u == v || g.HasEdge(u, v) {
 		return
 	}
-	g.adj[u].Add(v)
-	g.adj[v].Add(u)
+	g.SetArc(u, v)
+	g.SetArc(v, u)
 	g.deg[u]++
 	g.deg[v]++
 }
 
+// SetArc sets bit v of u's row, one half of the edge (u, v) with
+// u != v, and leaves the degrees alone. Calls for distinct u write
+// distinct words, so goroutines that own disjoint sets of rows may
+// call it concurrently. Symmetrize must follow before g is read.
+func (g *Graph) SetArc(u, v int) {
+	g.adj[u*g.w+v>>6] |= 1 << (uint(v) & 63)
+}
+
+// Symmetrize completes every arc (u, v) set by SetArc with (v, u) and
+// recomputes each degree as its row's popcount.
+func (g *Graph) Symmetrize() {
+	for u := 0; u < g.n; u++ {
+		col, bit := u>>6, uint64(1)<<(uint(u)&63)
+		for i, word := range g.row(u) {
+			for ; word != 0; word &= word - 1 {
+				g.adj[(i<<6|bits.TrailingZeros64(word))*g.w+col] |= bit
+			}
+		}
+	}
+	for v := range g.deg {
+		g.deg[v] = popcount(g.row(v))
+	}
+}
+
 // HasEdge reports whether (u, v) is an edge.
-func (g *Graph) HasEdge(u, v int) bool { return g.adj[u].Has(v) }
+func (g *Graph) HasEdge(u, v int) bool {
+	return g.adj[u*g.w+v>>6]&(1<<(uint(v)&63)) != 0
+}
 
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int) int { return g.deg[v] }
@@ -68,12 +107,53 @@ func (g *Graph) NumEdges() int {
 func (g *Graph) IsIndependent(set []int) bool {
 	for i := 0; i < len(set); i++ {
 		for j := i + 1; j < len(set); j++ {
-			if g.adj[set[i]].Has(set[j]) {
+			if g.HasEdge(set[i], set[j]) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// allVertices returns a row-sized mask with the bits of vertices
+// 0..n-1 set.
+func (g *Graph) allVertices() []uint64 {
+	m := make([]uint64, g.w)
+	for i := range m {
+		m[i] = ^uint64(0)
+	}
+	if r := g.n & 63; r != 0 {
+		m[g.w-1] = 1<<uint(r) - 1
+	}
+	return m
+}
+
+func popcount(words []uint64) int {
+	c := 0
+	for _, word := range words {
+		c += bits.OnesCount64(word)
+	}
+	return c
+}
+
+// members lists the set bits of a row-sized mask in ascending order.
+func members(words []uint64) []int {
+	out := make([]int, 0, popcount(words))
+	for i, word := range words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, i<<6|bits.TrailingZeros64(word))
+		}
+	}
+	return out
+}
+
+// addRow adds delta to count[u] for every u in row.
+func addRow(count []int, row []uint64, delta int) {
+	for i, word := range row {
+		for ; word != 0; word &= word - 1 {
+			count[i<<6|bits.TrailingZeros64(word)] += delta
+		}
+	}
 }
 
 // Greedy builds an independent set by repeatedly taking a minimum
@@ -85,41 +165,44 @@ func (g *Graph) Greedy(order []int) []int {
 	for i := range rank {
 		rank[i] = i
 	}
-	if order != nil {
-		for pos, v := range order {
-			rank[v] = pos
-		}
+	for pos, v := range order {
+		rank[v] = pos
 	}
-	alive := bitset.New(g.n)
-	for v := 0; v < g.n; v++ {
-		alive.Add(v)
-	}
-	resDeg := append([]int(nil), g.deg...)
+	alive := g.allVertices()
+	del := make([]uint64, g.w)
+	resDeg := slices.Clone(g.deg)
 	var out []int
-	remaining := g.n
-	for remaining > 0 {
+	for remaining := g.n; remaining > 0; {
 		best, bestDeg, bestRank := -1, g.n+1, g.n+1
-		alive.ForEach(func(v int) {
-			if resDeg[v] < bestDeg || (resDeg[v] == bestDeg && rank[v] < bestRank) {
-				best, bestDeg, bestRank = v, resDeg[v], rank[v]
-			}
-		})
-		out = append(out, best)
-		// Delete best and its alive neighbourhood.
-		del := []int{best}
-		g.adj[best].ForEach(func(u int) {
-			if alive.Has(u) {
-				del = append(del, u)
-			}
-		})
-		for _, d := range del {
-			alive.Remove(d)
-			remaining--
-			g.adj[d].ForEach(func(u int) {
-				if alive.Has(u) {
-					resDeg[u]--
+		for i, word := range alive {
+			for ; word != 0; word &= word - 1 {
+				v := i<<6 | bits.TrailingZeros64(word)
+				if d := resDeg[v]; d < bestDeg || (d == bestDeg && rank[v] < bestRank) {
+					best, bestDeg, bestRank = v, d, rank[v]
 				}
-			})
+			}
+		}
+		out = append(out, best)
+		// Delete best and its alive neighbourhood. Every survivor loses
+		// one residual degree per deleted neighbour; the deleted
+		// vertices' own counts are never read again.
+		for i, word := range g.row(best) {
+			del[i] = word & alive[i]
+		}
+		del[best>>6] |= 1 << (uint(best) & 63)
+		for i, d := range del {
+			alive[i] &^= d
+			remaining -= bits.OnesCount64(d)
+		}
+		for i, word := range del {
+			for ; word != 0; word &= word - 1 {
+				rd := g.row(i<<6 | bits.TrailingZeros64(word))
+				for j, a := range alive {
+					for m := rd[j] & a; m != 0; m &= m - 1 {
+						resDeg[j<<6|bits.TrailingZeros64(m)]--
+					}
+				}
+			}
 		}
 	}
 	sort.Ints(out)
@@ -132,89 +215,129 @@ func (g *Graph) Greedy(order []int) []int {
 // It also absorbs any free vertices. The result is at least as large
 // as the input.
 func (g *Graph) Improve(set []int) []int {
-	inSet := bitset.New(g.n)
+	valid := g.allVertices()
+	in := make([]uint64, g.w)
 	for _, v := range set {
-		inSet.Add(v)
+		in[v>>6] |= 1 << (uint(v) & 63)
 	}
 	// tight[v] = number of solution neighbours of v.
 	tight := make([]int, g.n)
 	for _, v := range set {
-		g.adj[v].ForEach(func(u int) { tight[u]++ })
+		addRow(tight, g.row(v), 1)
 	}
-
-	insert := func(v int) {
-		inSet.Add(v)
-		g.adj[v].ForEach(func(u int) { tight[u]++ })
-	}
-	remove := func(v int) {
-		inSet.Remove(v)
-		g.adj[v].ForEach(func(u int) { tight[u]-- })
-	}
+	// one marks the outside neighbours of the current member x whose
+	// only solution neighbour is x; oneTight lists them in order.
+	one := make([]uint64, g.w)
+	var oneTight []int
 
 	improved := true
 	for improved {
 		improved = false
-		// Absorb free vertices (tight == 0, not in set).
-		for v := 0; v < g.n; v++ {
-			if !inSet.Has(v) && tight[v] == 0 {
-				insert(v)
-				improved = true
+		// Absorb free vertices (tight == 0, not in set). An insertion
+		// sets only its own bit, so each word's complement is read once.
+		for i := range in {
+			for free := valid[i] &^ in[i]; free != 0; free &= free - 1 {
+				if v := i<<6 | bits.TrailingZeros64(free); tight[v] == 0 {
+					in[i] |= 1 << (uint(v) & 63)
+					addRow(tight, g.row(v), 1)
+					improved = true
+				}
 			}
 		}
-		// (1,2)-swaps.
-		for x := 0; x < g.n && !improved; x++ {
-			if !inSet.Has(x) {
-				continue
-			}
-			// Candidates: outside vertices whose only solution
-			// neighbour is x.
-			var oneTight []int
-			g.adj[x].ForEach(func(u int) {
-				if !inSet.Has(u) && tight[u] == 1 {
-					oneTight = append(oneTight, u)
+		if improved {
+			continue
+		}
+		// (1,2)-swaps: the first member x, in vertex order, with two
+		// non-adjacent one-tight neighbours u < w, taking the first u
+		// and then the first w.
+	swap:
+		for i, word := range in {
+			for ; word != 0; word &= word - 1 {
+				x := i<<6 | bits.TrailingZeros64(word)
+				oneTight = oneTight[:0]
+				for j, rx := range g.row(x) {
+					one[j] = 0
+					for m := rx &^ in[j]; m != 0; m &= m - 1 {
+						if u := j<<6 | bits.TrailingZeros64(m); tight[u] == 1 {
+							one[j] |= 1 << (uint(u) & 63)
+							oneTight = append(oneTight, u)
+						}
+					}
 				}
-			})
-			for i := 0; i < len(oneTight) && !improved; i++ {
-				for j := i + 1; j < len(oneTight); j++ {
-					u, w := oneTight[i], oneTight[j]
-					if !g.adj[u].Has(w) {
-						remove(x)
-						insert(u)
-						insert(w)
+				for _, u := range oneTight {
+					if w := firstNonNeighbourAbove(one, g.row(u), u); w >= 0 {
+						in[x>>6] &^= 1 << (uint(x) & 63)
+						addRow(tight, g.row(x), -1)
+						for _, v := range [2]int{u, w} {
+							in[v>>6] |= 1 << (uint(v) & 63)
+							addRow(tight, g.row(v), 1)
+						}
 						improved = true
-						break
+						break swap
 					}
 				}
 			}
 		}
 	}
-	return inSet.Elements()
+	return members(in)
 }
 
+// firstNonNeighbourAbove returns the smallest vertex above u that is in
+// set and not in u's row, or -1 when there is none.
+func firstNonNeighbourAbove(set, row []uint64, u int) int {
+	for j := u >> 6; j < len(set); j++ {
+		m := set[j] &^ row[j]
+		if j == u>>6 {
+			m &= ^uint64(0) << (uint(u) & 63) << 1
+		}
+		if m != 0 {
+			return j<<6 | bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// restarts is the number of seeded random orders Solve tries after its
+// vertex-order start.
+const restarts = 8
+
 // Solve returns a large independent set: exact for graphs of at most
-// ExactLimit vertices, otherwise greedy construction plus local search
-// with a few seeded random restarts.
-func Solve(g *Graph, seed int64) []int {
+// ExactLimit vertices, otherwise the largest of 1+restarts greedy
+// constructions refined by local search. The first start breaks ties
+// by vertex id, and each restart by an order that the seeded rng
+// shuffles further, all drawn before any start runs. The starts run on
+// up to workers goroutines (see par.Resolve), and the first strictly
+// larger set in start order wins, so the result does not depend on
+// workers.
+func Solve(g *Graph, seed int64, workers int) []int {
 	if g.n == 0 {
 		return nil
 	}
 	if g.n <= ExactLimit {
 		return Exact(g)
 	}
-	best := g.Improve(g.Greedy(nil))
 	rng := rand.New(rand.NewSource(seed))
+	orders := make([][]int, 1+restarts)
 	order := make([]int, g.n)
 	for i := range order {
 		order[i] = i
 	}
-	for restart := 0; restart < 8; restart++ {
+	for r := 1; r <= restarts; r++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		cand := g.Improve(g.Greedy(order))
-		if len(cand) > len(best) {
-			best = cand
+		orders[r] = slices.Clone(order)
+	}
+	sets := make([][]int, len(orders))
+	par.For(par.Resolve(workers), len(orders), func(_, begin, end int) {
+		for r := begin; r < end; r++ {
+			sets[r] = g.Improve(g.Greedy(orders[r]))
+		}
+	})
+	best := sets[0]
+	for _, s := range sets[1:] {
+		if len(s) > len(best) {
+			best = s
 		}
 	}
-	sort.Ints(best)
 	return best
 }
 
@@ -227,10 +350,8 @@ func Exact(g *Graph) []int {
 	if g.n > ExactLimit {
 		panic("mis: Exact limited to 64 vertices")
 	}
-	adj := make([]uint64, g.n)
-	for v := 0; v < g.n; v++ {
-		g.adj[v].ForEach(func(u int) { adj[v] |= 1 << uint(u) })
-	}
+	// At most 64 vertices: row v is the single word adj[v].
+	adj := g.adj
 	full := uint64(0)
 	if g.n == 64 {
 		full = ^uint64(0)

@@ -113,7 +113,7 @@ func TestSolveMatchesExactOnSmallGraphs(t *testing.T) {
 			t.Errorf("seed %d: heuristic %d far below optimum %d", seed, len(heur), len(exact))
 		}
 		// Solve dispatches to Exact at this size.
-		sol := Solve(g, 1)
+		sol := Solve(g, 1, 1)
 		if len(sol) != len(exact) {
 			t.Errorf("seed %d: Solve %d != Exact %d", seed, len(sol), len(exact))
 		}
@@ -122,15 +122,15 @@ func TestSolveMatchesExactOnSmallGraphs(t *testing.T) {
 
 func TestSolveLargeGraph(t *testing.T) {
 	g := randomGraph(300, 0.05, 7)
-	s := Solve(g, 1)
+	s := Solve(g, 1, 1)
 	if !g.IsIndependent(s) {
 		t.Fatal("Solve result not independent")
 	}
 	if len(s) < 30 {
 		t.Fatalf("Solve found only %d vertices on a sparse 300-vertex graph", len(s))
 	}
-	// Determinism.
-	s2 := Solve(g, 1)
+	// Determinism, also across worker counts.
+	s2 := Solve(g, 1, 2)
 	if len(s) != len(s2) {
 		t.Fatal("Solve not deterministic")
 	}
@@ -142,7 +142,7 @@ func TestSolveLargeGraph(t *testing.T) {
 }
 
 func TestSolveEmptyGraph(t *testing.T) {
-	if s := Solve(NewGraph(0), 1); s != nil {
+	if s := Solve(NewGraph(0), 1, 1); s != nil {
 		t.Fatalf("Solve on empty graph = %v", s)
 	}
 }
@@ -154,7 +154,7 @@ func TestQuickSolveIndependence(t *testing.T) {
 		for i := 0; i+1 < len(edges); i += 2 {
 			g.AddEdge(int(edges[i])%n, int(edges[i+1])%n)
 		}
-		s := Solve(g, seed)
+		s := Solve(g, seed, 2)
 		if !g.IsIndependent(s) {
 			return false
 		}

@@ -1,6 +1,7 @@
 package aig
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -179,13 +180,42 @@ func TestFanoutsAndRefs(t *testing.T) {
 	g, a, b, _ := buildSmall(t)
 	fo := g.Fanouts()
 	x := g.And(a, b) // strash: existing node
-	if len(fo[a.Node()]) != 1 || fo[a.Node()][0] != x.Node() {
-		t.Fatalf("fanouts of a: %v", fo[a.Node()])
+	if len(fo.Of(a.Node())) != 1 || fo.Of(a.Node())[0] != x.Node() {
+		t.Fatalf("fanouts of a: %v", fo.Of(a.Node()))
 	}
 	refs := g.RefCounts()
 	// x feeds the OR node and PO "x".
 	if refs[x.Node()] != 2 {
 		t.Fatalf("refs[x] = %d, want 2", refs[x.Node()])
+	}
+}
+
+// TestFanoutsIndexMatchesLists checks the flat fanout index against
+// per-node lists built by appending in node order, on random graphs of
+// growing and shrinking size, with one index rebuilt in place
+// throughout so stale entries from a larger graph would show.
+func TestFanoutsIndexMatchesLists(t *testing.T) {
+	var f Fanouts
+	for i, size := range []int{40, 400, 3, 120, 0, 900, 60} {
+		g := randomGraph(int64(i), 5, size)
+		lists := make([][]int, g.NumNodes())
+		for id := 0; id < g.NumNodes(); id++ {
+			if !g.IsAnd(id) {
+				continue
+			}
+			n := g.NodeAt(id)
+			lists[n.Fanin0.Node()] = append(lists[n.Fanin0.Node()], id)
+			if n.Fanin1.Node() != n.Fanin0.Node() {
+				lists[n.Fanin1.Node()] = append(lists[n.Fanin1.Node()], id)
+			}
+		}
+		g.FanoutsInto(&f)
+		fresh := g.Fanouts()
+		for id, want := range lists {
+			if !slices.Equal(f.Of(id), want) || !slices.Equal(fresh.Of(id), want) {
+				t.Fatalf("graph %d (%d nodes), node %d: fanouts %v (fresh %v), want %v", i, g.NumNodes(), id, f.Of(id), fresh.Of(id), want)
+			}
+		}
 	}
 }
 

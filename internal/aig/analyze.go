@@ -1,6 +1,10 @@
 package aig
 
-import "accals/internal/bitset"
+import (
+	"slices"
+
+	"accals/internal/bitset"
+)
 
 // Levels returns the logic level of every node: 0 for the constant and
 // PIs, 1 + max(fanin levels) for AND nodes.
@@ -31,21 +35,63 @@ func (g *Graph) Depth() int {
 	return d
 }
 
-// Fanouts returns, for every node, the ids of the AND nodes that use it
-// as a fanin. Primary outputs are not included; use RefCounts for
-// reference counting that includes POs.
-func (g *Graph) Fanouts() [][]int {
-	fo := make([][]int, len(g.nodes))
-	for id, n := range g.nodes {
-		if n.Kind != KindAnd {
+// Fanouts is a flat fanout index: Of(id) lists, in ascending order,
+// the ids of the AND nodes that use node id as a fanin. Primary outputs
+// are not included; use RefCounts for reference counting that includes
+// POs.
+type Fanouts struct {
+	// Node id's fanouts are ids[off[id]:off[id+1]].
+	off, ids []int
+}
+
+// Of returns the fanouts of node id. The slice aliases the index.
+func (f *Fanouts) Of(id int) []int {
+	return f.ids[f.off[id]:f.off[id+1]:f.off[id+1]]
+}
+
+// Fanouts returns the fanout index of g.
+func (g *Graph) Fanouts() *Fanouts {
+	f := new(Fanouts)
+	g.FanoutsInto(f)
+	return f
+}
+
+// FanoutsInto rebuilds f as the fanout index of g, reusing its buffers:
+// a counting pass sizes every node's list, and a placement pass in node
+// order fills them.
+func (g *Graph) FanoutsInto(f *Fanouts) {
+	n := len(g.nodes)
+	f.off = slices.Grow(f.off[:0], n+1)[:n+1]
+	clear(f.off)
+	for _, nd := range g.nodes {
+		if nd.Kind != KindAnd {
 			continue
 		}
-		fo[n.Fanin0.Node()] = append(fo[n.Fanin0.Node()], id)
-		if n.Fanin1.Node() != n.Fanin0.Node() {
-			fo[n.Fanin1.Node()] = append(fo[n.Fanin1.Node()], id)
+		f.off[nd.Fanin0.Node()+1]++
+		if nd.Fanin1.Node() != nd.Fanin0.Node() {
+			f.off[nd.Fanin1.Node()+1]++
 		}
 	}
-	return fo
+	for id := 1; id <= n; id++ {
+		f.off[id] += f.off[id-1]
+	}
+	f.ids = slices.Grow(f.ids[:0], f.off[n])[:f.off[n]]
+	// off[x] serves as x's write cursor and ends at x's end, which is
+	// x+1's start; shifting by one restores the starts.
+	for id, nd := range g.nodes {
+		if nd.Kind != KindAnd {
+			continue
+		}
+		x := nd.Fanin0.Node()
+		f.ids[f.off[x]] = id
+		f.off[x]++
+		if y := nd.Fanin1.Node(); y != x {
+			f.ids[f.off[y]] = id
+			f.off[y]++
+		}
+	}
+	copy(f.off[1:], f.off[:n])
+	f.off[0] = 0
 }
 
 // RefCounts returns the number of references to each node from AND
@@ -107,15 +153,15 @@ func (g *Graph) NumLiveAnds() int {
 }
 
 // TFO returns the transitive fanout of node id (including id itself)
-// as a bit set over node ids, using the given fanout lists.
-func (g *Graph) TFO(id int, fanouts [][]int) *bitset.Set {
+// as a bit set over node ids, using the given fanout index.
+func (g *Graph) TFO(id int, fanouts *Fanouts) *bitset.Set {
 	set := bitset.New(len(g.nodes))
 	set.Add(id)
 	stack := []int{id}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range fanouts[v] {
+		for _, w := range fanouts.Of(v) {
 			if !set.Has(w) {
 				set.Add(w)
 				stack = append(stack, w)
@@ -149,9 +195,9 @@ func (g *Graph) TFI(id int) *bitset.Set {
 
 // TFOSet returns the union of the transitive fanouts of the source
 // nodes (including the sources themselves) as a bit set over node ids,
-// using the given fanout lists. A nil or empty source list yields an
+// using the given fanout index. A nil or empty source list yields an
 // empty set.
-func (g *Graph) TFOSet(srcs []int, fanouts [][]int) *bitset.Set {
+func (g *Graph) TFOSet(srcs []int, fanouts *Fanouts) *bitset.Set {
 	set := bitset.New(len(g.nodes))
 	var stack []int
 	for _, s := range srcs {
@@ -163,7 +209,7 @@ func (g *Graph) TFOSet(srcs []int, fanouts [][]int) *bitset.Set {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range fanouts[v] {
+		for _, w := range fanouts.Of(v) {
 			if !set.Has(w) {
 				set.Add(w)
 				stack = append(stack, w)
@@ -177,7 +223,7 @@ func (g *Graph) TFOSet(srcs []int, fanouts [][]int) *bitset.Set {
 // any seed node (seeds included): the targets whose depth-bounded TFI
 // window can contain a seed. Distances are per-node minima over all
 // seeds, so the ball is exactly the union of single-seed balls.
-func (g *Graph) FanoutBall(seeds *bitset.Set, fanouts [][]int, radius int) *bitset.Set {
+func (g *Graph) FanoutBall(seeds *bitset.Set, fanouts *Fanouts, radius int) *bitset.Set {
 	set := bitset.New(len(g.nodes))
 	dist := make([]int, len(g.nodes))
 	for i := range dist {
@@ -195,7 +241,7 @@ func (g *Graph) FanoutBall(seeds *bitset.Set, fanouts [][]int, radius int) *bits
 		if dist[v] >= radius {
 			continue
 		}
-		for _, w := range fanouts[v] {
+		for _, w := range fanouts.Of(v) {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
 				set.Add(w)
@@ -246,7 +292,7 @@ func (g *Graph) TFIWithin(seeds *bitset.Set, depth int) *bitset.Set {
 // ShortestFanoutDistance returns the length (in edges) of the shortest
 // directed path from node src to node dst through fanout edges, or -1
 // if no such path exists. A distance of 0 means src == dst.
-func (g *Graph) ShortestFanoutDistance(src, dst int, fanouts [][]int) int {
+func (g *Graph) ShortestFanoutDistance(src, dst int, fanouts *Fanouts) int {
 	if src == dst {
 		return 0
 	}
@@ -256,7 +302,7 @@ func (g *Graph) ShortestFanoutDistance(src, dst int, fanouts [][]int) int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, w := range fanouts[v] {
+		for _, w := range fanouts.Of(v) {
 			if _, seen := dist[w]; seen {
 				continue
 			}

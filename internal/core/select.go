@@ -241,8 +241,9 @@ type selector struct {
 	// keys holds rankTop's keys, ranked its per-candidate marks.
 	keys   []rankKey
 	ranked []bool
-	// fan packs F(x) for every node x from the lowest target up; off
-	// indexes it (see fanoutRows).
+	// fo is the round's fanout index; fan packs F(x) for every node x
+	// from the lowest target up, and off indexes it (see fanoutRows).
+	fo  aig.Fanouts
 	fan []uint64
 	off []int
 	gs  mis.Graph
@@ -259,7 +260,7 @@ func newSelector(workers int) *selector {
 // F(x) = {x} ∪ ⋃ F(y) over the fanouts y of x. Ids are topological, so
 // F(x) ⊆ [x, NumNodes) and row x stores only words x>>6 up to the last;
 // rows are packed back to back and row(x) returns x's.
-func (s *selector) fanoutRows(g *aig.Graph, fanouts [][]int, lo int) (row func(x int) []uint64, w int) {
+func (s *selector) fanoutRows(g *aig.Graph, fanouts *aig.Fanouts, lo int) (row func(x int) []uint64, w int) {
 	nn := g.NumNodes()
 	w = (nn + 63) / 64
 	s.off = slices.Grow(s.off[:0], nn-lo+1)[:nn-lo+1]
@@ -277,7 +278,7 @@ func (s *selector) fanoutRows(g *aig.Graph, fanouts [][]int, lo int) (row func(x
 		rx := row(x)
 		clear(rx)
 		rx[0] = 1 << (uint(x) & 63)
-		for _, y := range fanouts[x] {
+		for _, y := range fanouts.Of(x) {
 			dst := rx[y>>6-x>>6:]
 			for i, word := range row(y) {
 				dst[i] |= word
@@ -330,7 +331,8 @@ func (s *selector) buildGSol(g *aig.Graph, targets []int, tb float64) (gs *mis.G
 	if n < 2 {
 		return gs, 0, 0
 	}
-	fanouts := g.Fanouts()
+	g.FanoutsInto(&s.fo)
+	fanouts := &s.fo
 	nn := g.NumNodes()
 	rows := make([]gsolRow, n)
 	for v, x := range targets {
@@ -385,7 +387,7 @@ func (s *selector) buildGSol(g *aig.Graph, targets []int, tb float64) (gs *mis.G
 			for d := 0; d < maxD && len(frontier) > 0; d++ {
 				next = next[:0]
 				for _, y := range frontier {
-					for _, z := range fanouts[y] {
+					for _, z := range fanouts.Of(y) {
 						if bit := uint64(1) << (uint(z) & 63); ball[z>>6]&bit == 0 {
 							ball[z>>6] |= bit
 							next = append(next, z)

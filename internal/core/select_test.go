@@ -373,7 +373,7 @@ func TestSelectRandomLACsBounds(t *testing.T) {
 // the shortest directed path length d from earlier to later when one
 // exists, otherwise the fractional overlap of transitive fanouts
 // |F(earlier) ∩ F(later)| / |F(later)|.
-func refPji(g *aig.Graph, fanouts [][]int, a, b int) float64 {
+func refPji(g *aig.Graph, fanouts *aig.Fanouts, a, b int) float64 {
 	earlier, later := min(a, b), max(a, b)
 	dist := make([]int32, g.NumNodes())
 	for i := range dist {
@@ -384,7 +384,7 @@ func refPji(g *aig.Graph, fanouts [][]int, a, b int) float64 {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, w := range fanouts[v] {
+		for _, w := range fanouts.Of(v) {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
 				queue = append(queue, w)

@@ -109,9 +109,10 @@ func TestErrorWithFlipsMatchesFullEval(t *testing.T) {
 }
 
 func TestErrorWithFlipsSamplingPath(t *testing.T) {
-	// With more flipped patterns than the sampling budget the
+	// With more flipped patterns than the sampling budget the MRED
 	// evaluator switches to a strided estimate; it must stay within a
-	// loose relative tolerance of the exact value.
+	// loose relative tolerance of the exact value. NMED scores the
+	// same flips exactly.
 	g := aig.New("w")
 	a := g.AddPI("a")
 	b := g.AddPI("b")
@@ -128,7 +129,7 @@ func TestErrorWithFlipsSamplingPath(t *testing.T) {
 		big.AddPO(big.Xor(pis[j], pis[j+1]), "y")
 	}
 	p := simulate.Random(24, 40000, 3)
-	cmp := NewComparator(NMED, big, p)
+	cmp := NewComparator(MRED, big, p)
 	res := simulate.MustRun(big, p)
 	pos := res.POValues(big)
 	base := cmp.NewBaseEval(pos)
@@ -146,6 +147,14 @@ func TestErrorWithFlipsSamplingPath(t *testing.T) {
 	}
 	if rel := math.Abs(got-exact) / exact; rel > 0.05 {
 		t.Fatalf("sampled estimate off by %.1f%%", rel*100)
+	}
+	if got == exact {
+		t.Fatal("MRED estimate equals the full evaluation; the flips did not reach the sampling path")
+	}
+	nmed := NewComparator(NMED, big, p)
+	want := nmed.ErrorFromPOsXor(pos, flips)
+	if got := nmed.ErrorWithFlips(nmed.NewBaseEval(pos), flips); math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("NMED over the sampling budget: %v, full evaluation %v", got, want)
 	}
 	_ = a
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"accals/internal/aig"
 	"accals/internal/circuits"
 	"accals/internal/errmetric"
 	"accals/internal/lac"
@@ -11,23 +12,31 @@ import (
 )
 
 // BenchmarkEstimateAll measures sharded batch estimation against the
-// sequential baseline on a mid-size multiplier under ER and the three
-// word-level metrics.
+// sequential baseline under ER and the three word-level metrics, on a
+// mid-size multiplier (12 outputs) and on a 33-output adder.
 func BenchmarkEstimateAll(b *testing.B) {
-	g := circuits.ArrayMult(6)
-	p := simulate.NewPatterns(g.NumPIs(), 1<<13, 1)
-	res := simulate.MustRun(g, p)
-	cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-	for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.NMED, errmetric.MRED, errmetric.MaxED} {
-		cmp := errmetric.NewComparator(kind, g, p)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%v/workers=%d", kind, workers), func(b *testing.B) {
-				e := New(workers)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					e.EstimateAllRec(g, res, cmp, cands, nil)
-				}
-			})
+	for _, c := range []struct {
+		name string
+		g    *aig.Graph
+	}{
+		{"mult6", circuits.ArrayMult(6)},
+		{"ksa32", circuits.KSA(32)},
+	} {
+		g := c.g
+		p := simulate.NewPatterns(g.NumPIs(), 1<<13, 1)
+		res := simulate.MustRun(g, p)
+		cands := lac.Generate(g, res, lac.Config{EnableResub: true})
+		for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.NMED, errmetric.MRED, errmetric.MaxED} {
+			cmp := errmetric.NewComparator(kind, g, p)
+			for _, workers := range []int{1, 2, 4, 8} {
+				b.Run(fmt.Sprintf("%s/%v/workers=%d", c.name, kind, workers), func(b *testing.B) {
+					e := New(workers)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						e.EstimateAllRec(g, res, cmp, cands, nil)
+					}
+				})
+			}
 		}
 	}
 }

@@ -309,7 +309,9 @@ func (c *Comparator) ErrorFromPOsXor(base, flip []simulate.Vec) float64 {
 type BaseEval struct {
 	// POs are the base circuit's simulated outputs.
 	POs []simulate.Vec
-	// Vals are the per-pattern output values (word-level metrics only).
+	// Vals are the per-pattern output values (NMED and MRED only: the
+	// base error sums them in pattern order, and MRED's kernel reads
+	// them).
 	Vals []uint64
 	// Err is the base circuit's error.
 	Err float64
@@ -347,7 +349,6 @@ func (c *Comparator) ResetBaseEval(b *BaseEval, pos []simulate.Vec) {
 		b.Err = c.ErrorFromPOs(pos)
 		return
 	}
-	b.Vals = extractValues(b.Vals, pos, c.patterns)
 	switch c.kind {
 	case MaxED:
 		c.fillPlanes(b)
@@ -363,9 +364,10 @@ func (c *Comparator) ResetBaseEval(b *BaseEval, pos []simulate.Vec) {
 	case NMED:
 		c.fillPlanes(b)
 	case MRED:
-		n := len(b.Vals)
+		n := c.patterns.NumPatterns()
 		b.contrib = slices.Grow(b.contrib[:0], n)[:n]
 	}
+	b.Vals = extractValues(b.Vals, pos, c.patterns)
 	// Summing the contributions in pattern order is exactly how
 	// ErrorFromPOs accumulates the mean, so Err is bit-identical to it.
 	sum := 0.0

@@ -102,7 +102,8 @@ func refMREDWithFlips(c *Comparator, b *BaseEval, flips []simulate.Vec) float64 
 
 // refMaxErrorWithFlips is MaxED's reference scorer: it walks every
 // pattern of every word, with the flips applied, and of BaseEval reads
-// only the per-pattern values and, when nothing flips, the base error.
+// only the base outputs, from which it builds its own per-pattern
+// values, and, when nothing flips, the base error.
 func refMaxErrorWithFlips(c *Comparator, b *BaseEval, flips []simulate.Vec) float64 {
 	var fj []int
 	for j, f := range flips {
@@ -113,9 +114,10 @@ func refMaxErrorWithFlips(c *Comparator, b *BaseEval, flips []simulate.Vec) floa
 	if len(fj) == 0 {
 		return b.Err
 	}
+	vals := extractValues(nil, b.POs, c.patterns)
 	var g uint64
 	for w := 0; w < c.patterns.Words(); w++ {
-		if d := refWordMaxDiff(c, b.Vals, w, fj, flips); d > g {
+		if d := refWordMaxDiff(c, vals, w, fj, flips); d > g {
 			g = d
 		}
 	}

@@ -13,21 +13,34 @@ import (
 
 // BenchmarkEstimateAll measures sharded batch estimation against the
 // sequential baseline under ER and the three word-level metrics, on a
-// mid-size multiplier (12 outputs) and on a 33-output adder.
+// mid-size multiplier (12 outputs) and on a 33-output adder, both
+// exact, and under ER on an approximate multiplier that errs on one
+// pattern word in eight, where both of ER's passes run.
 func BenchmarkEstimateAll(b *testing.B) {
+	all := []errmetric.Kind{errmetric.ER, errmetric.NMED, errmetric.MRED, errmetric.MaxED}
+	mult6 := circuits.ArrayMult(6)
+	p := simulate.NewPatterns(mult6.NumPIs(), 1<<13, 1)
+	approx := approxOf(b, mult6, p)
+	mixed, ok := erringPatterns(approx, mult6, 1<<13, func(w int) bool { return w%8 == 3 }, 1)
+	if !ok {
+		b.Fatal("no patterns for the mixed base")
+	}
+	ksa32 := circuits.KSA(32)
 	for _, c := range []struct {
-		name string
-		g    *aig.Graph
+		name   string
+		g, ref *aig.Graph
+		p      *simulate.Patterns
+		kinds  []errmetric.Kind
 	}{
-		{"mult6", circuits.ArrayMult(6)},
-		{"ksa32", circuits.KSA(32)},
+		{"mult6", mult6, mult6, p, all},
+		{"ksa32", ksa32, ksa32, simulate.NewPatterns(ksa32.NumPIs(), 1<<13, 1), all},
+		{"mult6-mixed", approx, mult6, mixed, []errmetric.Kind{errmetric.ER}},
 	} {
 		g := c.g
-		p := simulate.NewPatterns(g.NumPIs(), 1<<13, 1)
-		res := simulate.MustRun(g, p)
+		res := simulate.MustRun(g, c.p)
 		cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-		for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.NMED, errmetric.MRED, errmetric.MaxED} {
-			cmp := errmetric.NewComparator(kind, g, p)
+		for _, kind := range c.kinds {
+			cmp := errmetric.NewComparator(kind, c.ref, c.p)
 			for _, workers := range []int{1, 2, 4, 8} {
 				b.Run(fmt.Sprintf("%s/%v/workers=%d", c.name, kind, workers), func(b *testing.B) {
 					e := New(workers)

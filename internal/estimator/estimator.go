@@ -1,11 +1,10 @@
 // Package estimator implements batch error-increase estimation for
-// candidate LACs, in the style of VECBEE [11] and SEALS [12]: a single
-// reverse change-propagation pass per primary output yields, for every
-// node, the mask of patterns on which a value flip at that node would
-// propagate to the output. Combining these masks with each LAC's
-// deviation mask gives the estimated output flips — and hence the
-// estimated error — of every candidate without simulating candidate
-// circuits.
+// candidate LACs, in the style of VECBEE [11] and SEALS [12]: a reverse
+// change-propagation pass yields, for every node, the mask of patterns
+// on which a value flip at that node would propagate to a primary
+// output. Combining these masks with each LAC's deviation mask gives
+// the estimated output flips — and hence the estimated error — of
+// every candidate without simulating candidate circuits.
 //
 // The propagation pass treats reconvergent paths independently (ORing
 // path sensitivities), which is the standard fast approximation; an
@@ -17,20 +16,29 @@
 // the base diff of output j and p_j the target's propagation mask, a
 // candidate with deviation mask v differs somewhere on
 // OR_j(d_j ⊕ (p_j ∧ v)) = (X ∧ ¬v) ∨ (Y ∧ v), where X = OR_j d_j is the
-// base any-diff mask and Y = OR_j(d_j ⊕ p_j) is the target's. The
-// word-level metrics (NMED/MRED/MaxED) read all outputs of a pattern at
-// once, so their pass keeps a copy of each distinct target's
-// propagation mask per output, and errmetric.ScoreTarget then scores
-// all of a target's candidates in one call from those masks and their
-// deviation masks; no per-candidate flip vector is built.
+// base any-diff mask and Y = OR_j(d_j ⊕ p_j) is the target's. On a
+// pattern word where X is 0 every d_j is 0, so Y = OR_j p_j there. A
+// node's mask is the union, over its paths to the output, of each
+// path's side conditions, so one pass seeded at every output's root
+// computes OR_j p_j for all nodes at once. ER therefore propagates the
+// words on which the base is exact once for all outputs, and runs the
+// per-output passes only on the words where the base errs, gathered
+// side by side. The word-level metrics (NMED/MRED/MaxED) read all
+// outputs of a pattern at once, so their pass keeps a copy of each
+// distinct target's propagation mask per output, and
+// errmetric.ScoreTarget then scores all of a target's candidates in one
+// call from those masks and their deviation masks; no per-candidate
+// flip vector is built.
 //
-// The per-output passes are mutually independent, so an Estimator
-// shards them across workers (one propagator per shard) and merges the
-// per-shard accumulators deterministically: bitwise OR for ER's
-// X and per-target Y masks, integer sums for MHD, and disjoint
-// (target, output) mask slots for the word-level metrics. Every merge
-// operation is exactly associative and commutative, so the estimates
-// are bit-identical at any worker count.
+// An Estimator shards its work across its workers, one propagator per
+// propagation shard. ER runs its all-output pass as one shard and its
+// per-output passes in output ranges, whose per-target Y rows merge by
+// bitwise OR; it then scores each candidate on its own, in candidate
+// ranges. MHD and the word-level metrics split their per-output passes
+// into output ranges and merge by integer sums (MHD) or into disjoint
+// (target, output) mask slots. Every merge operation is exactly
+// associative and commutative, so the estimates are bit-identical at
+// any worker count.
 package estimator
 
 import (
@@ -53,11 +61,26 @@ import (
 type Estimator struct {
 	workers int
 	props   []*propagator
-	// devBuf backs devs, the round's deviation mask per candidate;
-	// arena holds the per-shard accumulators (ER masks, MHD counts).
+	// devBuf backs devs, the round's deviation mask per candidate (MHD
+	// and the word-level metrics), or ER's per-shard deviation scratch;
+	// arena holds the per-shard accumulators (ER's Y rows over the
+	// erring words, MHD counts).
 	devBuf []uint64
 	devs   []simulate.Vec
 	arena  []uint64
+	// ER's per-round pattern-word state: x is the base any-diff mask X,
+	// errWords lists the words where it is nonzero, xErr holds X at
+	// those words side by side, and root is the all-ones root mask of
+	// the value table (with the final-word mask where the last pattern
+	// word sits). Unless the erring words are already the last ones,
+	// vals (backed by valBuf) is the round's value table reordered with
+	// the exact words first and the erring words after them.
+	x        []uint64
+	errWords []int
+	xErr     []uint64
+	root     []uint64
+	valBuf   []uint64
+	vals     []simulate.Vec
 	// Per-target state, rebuilt each round: targets lists the round's
 	// distinct target nodes, targetNum maps a node id to its index in
 	// targets plus one (0: not a target), and slots holds target t's
@@ -103,9 +126,9 @@ func EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparato
 	return New(1).EstimateAllRec(g, res, cmp, lacs, rec)
 }
 
-// EstimateAllRec estimates every candidate's ΔE, sharding the per-
-// output propagation passes across the Estimator's workers. See the
-// package-level EstimateAllRec for the contract; results are
+// EstimateAllRec estimates every candidate's ΔE, sharding the
+// propagation passes and the scoring across the Estimator's workers.
+// See the package-level EstimateAllRec for the contract; results are
 // bit-identical at any worker count.
 func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC, rec *obs.Recorder) float64 {
 	sp := rec.StartSpan(obs.PhaseEstimate)
@@ -113,6 +136,9 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 	curPOs := res.POValues(g)
 	if len(lacs) == 0 {
 		return cmp.ErrorFromPOs(curPOs)
+	}
+	if cmp.Kind() == errmetric.ER {
+		return e.estimateER(g, res, cmp.ExactPOs(), curPOs, lacs, rec)
 	}
 	// The base error comes with the scoring state (bit-identical to
 	// ErrorFromPOs), so the word-level metrics walk the outputs once.
@@ -133,69 +159,10 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 	}
 
 	blocks := par.BlocksMin(e.workers, numPOs, minPOsPerShard)
-	e.ensureProps(blocks, g, res)
+	e.growProps(blocks)
+	root := e.rootMask(words, words-1, res.Patterns.LastMask())
 
 	switch cmp.Kind() {
-	case errmetric.ER:
-		// ER fast path: each shard ORs, over its outputs, the base
-		// diffs into the any-diff mask X (row 0 of its arena block)
-		// and d_j ⊕ p_j into target t's mask Y (row t+1), where a
-		// target that cannot reach output j has p_j = 0. Rows merge
-		// by bitwise OR, which is order-independent, so the merged
-		// masks are exactly the sequential ones; a candidate with
-		// deviation mask v then differs on (X ∧ ¬v) ∨ (Y ∧ v).
-		e.indexTargets(g.NumNodes(), lacs)
-		exact := cmp.ExactPOs()
-		rows := (len(e.targets) + 1) * words
-		e.arena = grow(e.arena, blocks*rows)
-		arena := e.arena
-		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
-			prop := e.props[shard]
-			ad := arena[shard*rows : (shard+1)*rows]
-			clear(ad)
-			x := ad[:words]
-			diffJ := prop.scratchVec()
-			for j := j0; j < j1; j++ {
-				masks := prop.run(j)
-				for w := 0; w < words; w++ {
-					diffJ[w] = curPOs[j][w] ^ exact[j][w]
-					x[w] |= diffJ[w]
-				}
-				for t, id := range e.targets {
-					y := ad[(t+1)*words : (t+2)*words]
-					pm := masks[id]
-					if pm == nil {
-						for w := 0; w < words; w++ {
-							y[w] |= diffJ[w]
-						}
-						continue
-					}
-					for w := 0; w < words; w++ {
-						y[w] |= diffJ[w] ^ pm[w]
-					}
-				}
-			}
-		})
-		merged := arena[:rows]
-		for s := 1; s < blocks; s++ {
-			other := arena[s*rows : (s+1)*rows]
-			for w := range merged {
-				merged[w] |= other[w]
-			}
-		}
-		n := float64(res.Patterns.NumPatterns())
-		x := merged[:words]
-		for i, l := range lacs {
-			t := int(e.targetNum[l.Target])
-			y := merged[t*words : (t+1)*words]
-			dv := devs[i]
-			c := 0
-			for w := 0; w < words; w++ {
-				c += bits.OnesCount64(x[w]&^dv[w] | y[w]&dv[w])
-			}
-			l.DeltaE = float64(c)/n - curErr
-		}
-
 	case errmetric.MHD:
 		// MHD is linear over outputs: each shard tallies per-LAC
 		// diff-bit counts over its outputs; integer sums across shards
@@ -205,6 +172,7 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 		arena := e.arena
 		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
 			prop := e.props[shard]
+			prop.reset(g, res.NodeVals, 0, root)
 			counts := arena[shard*nl : (shard+1)*nl]
 			for i := range counts {
 				counts[i] = 0
@@ -255,6 +223,7 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 		slots := e.slots
 		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
 			prop := e.props[shard]
+			prop.reset(g, res.NodeVals, 0, root)
 			for j := j0; j < j1; j++ {
 				masks := prop.run(j)
 				for t, id := range e.targets {
@@ -277,14 +246,209 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 	return curErr
 }
 
+// estimateER is EstimateAllRec under ER, with exact the reference's
+// outputs and curPOs the base's. It splits the pattern words by
+// X = OR_j d_j. Where X is 0 (the base is exact), a target's Y is its
+// mask from one all-output pass. Where X is not 0, the per-output
+// passes OR d_j ⊕ p_j into Y, over just those words, sharded by
+// outputs. Each candidate then counts (X ∧ ¬v) ∨ (Y ∧ v) over every
+// word, from a deviation mask v computed in its shard's scratch. The
+// passes and the candidates read one value table (see valueTable), and
+// popcounts do not depend on word order, so every ΔE is bit-identical
+// to the per-output any-diff formula.
+func (e *Estimator) estimateER(g *aig.Graph, res *simulate.Result, exact, curPOs []simulate.Vec, lacs []*lac.LAC, rec *obs.Recorder) float64 {
+	p := res.Patterns
+	words, numPOs, nl := p.Words(), g.NumPOs(), len(lacs)
+
+	// X and the erring words. The base error is X's density, counted
+	// as ErrorFromPOs counts it.
+	e.x = grow(e.x, words)
+	x := e.x
+	clear(x)
+	for j, po := range curPOs {
+		ex := exact[j]
+		for w := range x {
+			x[w] |= po[w] ^ ex[w]
+		}
+	}
+	x[words-1] &= p.LastMask()
+	e.errWords = e.errWords[:0]
+	diff := 0
+	for w, xw := range x {
+		if xw != 0 {
+			e.errWords = append(e.errWords, w)
+			diff += bits.OnesCount64(xw)
+		}
+	}
+	n := float64(p.NumPatterns())
+	curErr := float64(diff) / n
+	errWords := e.errWords
+	k := len(errWords)
+	exactWords := words - k
+	vals, last := e.valueTable(res)
+	root := e.rootMask(words, last, p.LastMask())
+	e.indexTargets(g.NumNodes(), lacs)
+
+	// The all-output pass over the exact words runs as one shard:
+	// splitting it into word ranges measured no faster end to end.
+	e.growProps(1)
+	var allMasks []simulate.Vec
+	e.runShards(1, exactWords, rec, func(_, _, _ int) {
+		prop := e.props[0]
+		prop.reset(g, vals, 0, root[:exactWords])
+		allMasks = prop.runAll()
+	})
+
+	// Per-output passes over the erring words: each shard ORs, over
+	// its outputs, d_j ⊕ p_j into target t's row t of its arena block
+	// (p_j = 0 where the target cannot reach output j), and the blocks
+	// merge into the first by bitwise OR.
+	nt := len(e.targets)
+	rows := nt * k
+	if k > 0 {
+		blocks := par.BlocksMin(e.workers, numPOs, minPOsPerShard)
+		e.growProps(1 + blocks)
+		e.arena = grow(e.arena, blocks*rows)
+		arena := e.arena
+		e.runShards(blocks, numPOs, rec, func(shard, j0, j1 int) {
+			prop := e.props[1+shard]
+			prop.reset(g, vals, exactWords, root[exactWords:])
+			ys := arena[shard*rows : (shard+1)*rows]
+			clear(ys)
+			diffJ := prop.scratchVec()
+			for j := j0; j < j1; j++ {
+				masks := prop.run(j)
+				po, ex := curPOs[j], exact[j]
+				for i, w := range errWords {
+					diffJ[i] = po[w] ^ ex[w]
+				}
+				for t, id := range e.targets {
+					y := ys[t*k : (t+1)*k]
+					pm := masks[id]
+					if pm == nil {
+						for i := range y {
+							y[i] |= diffJ[i]
+						}
+						continue
+					}
+					for i := range y {
+						y[i] |= diffJ[i] ^ pm[i]
+					}
+				}
+			}
+		})
+		if blocks > 1 {
+			par.For(par.BlocksMin(e.workers, nt, minScoreWordOps/(blocks*k+1)), nt, func(_, t0, t1 int) {
+				y := arena[t0*k : t1*k]
+				for s := 1; s < blocks; s++ {
+					other := arena[s*rows+t0*k : s*rows+t1*k]
+					for i := range y {
+						y[i] |= other[i]
+					}
+				}
+			})
+		}
+	}
+	yErr := e.arena[:rows]
+	e.xErr = grow(e.xErr, k)
+	xErr := e.xErr
+	for i, w := range errWords {
+		xErr[i] = x[w]
+	}
+
+	// Scoring, sharded over candidates, with X and Y on the erring words
+	// side by side in xErr and yErr. A candidate's deviation v is its
+	// new target value, computed into the shard's scratch, XOR the
+	// current one. It needs no tail mask: X and every Y are 0 past the
+	// last pattern. On the exact words X is 0, so the count is Y ∧ v.
+	blocks := par.BlocksMin(e.workers, nl, minScoreWordOps/(2*words+1))
+	e.devBuf = grow(e.devBuf, blocks*words)
+	par.For(blocks, nl, func(shard, i0, i1 int) {
+		nv := e.devBuf[shard*words : (shard+1)*words]
+		val := func(id int) simulate.Vec { return vals[id] }
+		for i := i0; i < i1; i++ {
+			l := lacs[i]
+			l.NewValueAt(nv, ^uint64(0), val)
+			cur := vals[l.Target]
+			c := 0
+			if exactWords > 0 && allMasks[l.Target] != nil {
+				for w, y := range allMasks[l.Target] {
+					c += bits.OnesCount64(y & (nv[w] ^ cur[w]))
+				}
+			}
+			if k > 0 {
+				t := int(e.targetNum[l.Target]) - 1
+				y := yErr[t*k : (t+1)*k]
+				nvErring, curErring := nv[exactWords:], cur[exactWords:]
+				for w, xw := range xErr {
+					v := nvErring[w] ^ curErring[w]
+					c += bits.OnesCount64(xw&^v | y[w]&v)
+				}
+			}
+			l.DeltaE = float64(c)/n - curErr
+		}
+	})
+	return curErr
+}
+
+// valueTable returns the node value table ER's passes and candidates
+// read, and the table position of the final pattern word. The table
+// holds each node's exact words first and its erring words after them,
+// both in ascending order, so each pass reads one contiguous word
+// range. That is res.NodeVals itself when the erring words are already
+// the last ones (none or every word included), else e.vals.
+func (e *Estimator) valueTable(res *simulate.Result) ([]simulate.Vec, int) {
+	words, k := res.Patterns.Words(), len(e.errWords)
+	if k == 0 || e.errWords[0] == words-k {
+		return res.NodeVals, words - 1
+	}
+	nn := len(res.NodeVals)
+	e.valBuf = grow(e.valBuf, nn*words)
+	e.vals = grow(e.vals, nn)
+	exactWords := words - k
+	for id, v := range res.NodeVals {
+		t := e.valBuf[id*words : (id+1)*words : (id+1)*words]
+		exact, erring := t[:exactWords], t[exactWords:]
+		ne, nx := 0, 0
+		for w, x := range v {
+			if nx < k && e.errWords[nx] == w {
+				erring[nx] = x
+				nx++
+			} else {
+				exact[ne] = x
+				ne++
+			}
+		}
+		e.vals[id] = t
+	}
+	if e.errWords[k-1] == words-1 {
+		return e.vals, words - 1
+	}
+	return e.vals, exactWords - 1
+}
+
+// rootMask returns the root mask of a value table of the given width
+// whose final pattern word sits at position last: all ones, with the
+// pattern set's final-word mask at that position. The vector is reused
+// across rounds.
+func (e *Estimator) rootMask(words, last int, mask uint64) simulate.Vec {
+	e.root = grow(e.root, words)
+	for w := range e.root {
+		e.root[w] = ^uint64(0)
+	}
+	e.root[last] = mask
+	return e.root
+}
+
 // Min-work-per-shard thresholds (see par.BlocksMin). Each per-output
-// propagation shard owns a propagator whose mask pool spans the whole
+// propagation shard owns a propagator whose mask slab spans the whole
 // graph, so that footprint must amortize over at least a couple of
-// outputs; word-level scoring shards are capped to carry at least
-// minScoreWordOps 64-bit word operations (counting each target as one
-// output-mask sweep) so tiny candidate batches stop fanning out. Both
-// caps are pure functions of the problem shape, never of the host, so
-// shard boundaries stay reproducible.
+// outputs; scoring shards are capped to carry at least minScoreWordOps
+// 64-bit word operations (counting each word-level target as one
+// output-mask sweep, each ER candidate as two sweeps of its words and
+// each ER target merge as one row per shard) so tiny candidate batches
+// stop fanning out. All caps are pure functions of the problem shape,
+// never of the host, so shard boundaries stay reproducible.
 const (
 	minPOsPerShard   = 2
 	minScoreWordOps  = 1 << 15
@@ -350,8 +514,11 @@ func (e *Estimator) groupByTarget(lacs []*lac.LAC) {
 // runShards executes body over [0,n) split into the given number of
 // blocks (at most the Estimator's workers; callers cap fan-out with
 // par.BlocksMin), feeding per-shard timings to rec's estimate-phase
-// histograms when instrumented.
+// histograms when instrumented. It does nothing when n is 0.
 func (e *Estimator) runShards(blocks, n int, rec *obs.Recorder, body func(shard, begin, end int)) {
+	if n == 0 {
+		return
+	}
 	if rec != nil {
 		t := par.ForTimed(blocks, n, body)
 		rec.ObserveShards(obs.PhaseEstimate, t.Elapsed, t.Shards)
@@ -360,34 +527,37 @@ func (e *Estimator) runShards(blocks, n int, rec *obs.Recorder, body func(shard,
 	par.For(blocks, n, body)
 }
 
-// ensureProps grows the per-shard propagator set to blocks entries and
-// rebinds each to (g, res) for this round.
-func (e *Estimator) ensureProps(blocks int, g *aig.Graph, res *simulate.Result) {
-	for len(e.props) < blocks {
+// growProps grows the propagator set to at least n entries. Each shard
+// rebinds its own propagator to the round with reset.
+func (e *Estimator) growProps(n int) {
+	for len(e.props) < n {
 		e.props = append(e.props, &propagator{})
-	}
-	for s := 0; s < blocks; s++ {
-		e.props[s].reset(g, res)
 	}
 }
 
-// propagator computes per-PO change propagation masks with reusable
-// buffers. Each estimation shard owns one propagator; reset rebinds it
-// to the round's graph and simulation while keeping its retired
-// vectors for reuse.
+// propagator computes change propagation masks with reusable buffers.
+// Each estimation shard owns one propagator; reset binds it to the
+// round's graph, a node value table and a range of its words.
 type propagator struct {
-	g       *aig.Graph
-	res     *simulate.Result
-	words   int
-	masks   []simulate.Vec // indexed by node; nil when untouched
+	g *aig.Graph
+	// vals holds the node values the pass reads, at words
+	// [w0, w0+len(root)) of each vector; root is the mask every pass
+	// seeds its roots with, one word per word of the range.
+	vals  []simulate.Vec
+	w0    int
+	root  simulate.Vec
+	masks []simulate.Vec // indexed by node; nil when untouched
+	// touched lists the nodes with a mask; the masks are carved in
+	// turn from slab, of which used words are taken.
 	touched []int
-	pool    []simulate.Vec
+	slab    []uint64
+	used    int
 	scratch simulate.Vec
 	// chunks back the word-level target masks kept this round, each
-	// holding arenaChunk masks; the next free one is at word used of
+	// holding arenaChunk masks; the next free one is at word kept of
 	// chunks[chunk].
 	chunks      [][]uint64
-	chunk, used int
+	chunk, kept int
 }
 
 // arenaChunk is the number of masks per arena chunk: small enough that
@@ -395,23 +565,19 @@ type propagator struct {
 // that a round allocates few chunks.
 const arenaChunk = 256
 
-// reset rebinds the propagator to a graph and its simulation, retiring
-// live masks into the pool (or dropping every buffer when the word
-// count changed) and emptying the arena.
-func (p *propagator) reset(g *aig.Graph, res *simulate.Result) {
-	for _, id := range p.touched {
-		p.pool = append(p.pool, p.masks[id])
-		p.masks[id] = nil
-	}
-	p.touched = p.touched[:0]
-	p.chunk, p.used = 0, 0
-	words := res.Patterns.Words()
-	if words != p.words {
-		p.pool = p.pool[:0]
-		p.scratch = nil
+// reset binds the propagator to a graph, the node value table vals and
+// the range of len(root) words from w0 that root seeds, retiring live
+// masks and emptying the arena. The mask slab is kept whatever the
+// width, so shards that alternate between word ranges of different
+// widths reuse it; the arena's chunks are dropped when the width
+// changed.
+func (p *propagator) reset(g *aig.Graph, vals []simulate.Vec, w0 int, root simulate.Vec) {
+	p.retire()
+	p.chunk, p.kept = 0, 0
+	if len(root) != len(p.root) {
 		p.chunks = nil
 	}
-	p.g, p.res, p.words = g, res, words
+	p.g, p.vals, p.w0, p.root = g, vals, w0, root
 	if n := g.NumNodes(); cap(p.masks) >= n {
 		p.masks = p.masks[:n]
 	} else {
@@ -419,13 +585,22 @@ func (p *propagator) reset(g *aig.Graph, res *simulate.Result) {
 	}
 }
 
-// scratchVec returns the propagator's word-sized scratch vector
-// (contents unspecified).
-func (p *propagator) scratchVec() simulate.Vec {
-	if len(p.scratch) != p.words {
-		p.scratch = make(simulate.Vec, p.words)
+// retire drops every live mask, returning the slab for reuse.
+func (p *propagator) retire() {
+	for _, id := range p.touched {
+		p.masks[id] = nil
 	}
-	return p.scratch
+	p.touched = p.touched[:0]
+	p.used = 0
+}
+
+// scratchVec returns a scratch vector of the range's width (contents
+// unspecified).
+func (p *propagator) scratchVec() simulate.Vec {
+	if cap(p.scratch) < len(p.root) {
+		p.scratch = make(simulate.Vec, len(p.root))
+	}
+	return p.scratch[:len(p.root)]
 }
 
 // keep copies a propagation mask into the arena and returns the copy,
@@ -436,13 +611,14 @@ func (p *propagator) keep(pm simulate.Vec) simulate.Vec {
 	if pm == nil {
 		return nil
 	}
-	if p.used == arenaChunk*p.words {
-		p.chunk, p.used = p.chunk+1, 0
+	width := len(p.root)
+	if p.kept == arenaChunk*width {
+		p.chunk, p.kept = p.chunk+1, 0
 	}
 	if p.chunk == len(p.chunks) {
-		p.chunks = append(p.chunks, make([]uint64, arenaChunk*p.words))
+		p.chunks = append(p.chunks, make([]uint64, arenaChunk*width))
 	}
-	v := p.chunks[p.chunk][p.used : p.used+p.words : p.used+p.words]
+	v := p.chunks[p.chunk][p.kept : p.kept+width : p.kept+width]
 	var nonzero uint64
 	for w, x := range pm {
 		v[w] = x
@@ -451,47 +627,71 @@ func (p *propagator) keep(pm simulate.Vec) simulate.Vec {
 	if nonzero == 0 {
 		return nil
 	}
-	p.used += p.words
+	p.kept += width
 	return v
 }
 
-// alloc returns a zeroed vector, reusing retired buffers.
+// alloc returns a zeroed mask of the range's width, carved from the
+// slab. A pass that outgrows the slab continues in a new one, at least
+// twice as large and large enough for a mask on every node; the masks
+// already carved stay valid, and later passes reuse the larger slab.
 func (p *propagator) alloc() simulate.Vec {
-	if n := len(p.pool); n > 0 {
-		v := p.pool[n-1]
-		p.pool = p.pool[:n-1]
-		for w := range v {
-			v[w] = 0
-		}
-		return v
+	width := len(p.root)
+	if p.used+width > len(p.slab) {
+		p.slab = make([]uint64, max(2*len(p.slab), len(p.masks)*width))
+		p.used = 0
 	}
-	return make(simulate.Vec, p.words)
+	v := p.slab[p.used : p.used+width : p.used+width]
+	p.used += width
+	clear(v)
+	return v
+}
+
+// seed gives node id the root mask, unless it has a mask already.
+func (p *propagator) seed(id int) {
+	if p.masks[id] != nil {
+		return
+	}
+	m := p.alloc()
+	copy(m, p.root)
+	p.masks[id] = m
+	p.touched = append(p.touched, id)
 }
 
 // run computes, for primary output j, the mask per node of patterns on
 // which flipping the node's value flips the output (single-pass
 // approximation). The returned slice is valid until the next call.
 func (p *propagator) run(j int) []simulate.Vec {
-	// Reset state from the previous run.
-	for _, id := range p.touched {
-		p.pool = append(p.pool, p.masks[id])
-		p.masks[id] = nil
-	}
-	p.touched = p.touched[:0]
-
+	p.retire()
 	root := p.g.PO(j).Node()
-	m := p.alloc()
-	for w := range m {
-		m[w] = ^uint64(0)
-	}
-	m[len(m)-1] &= p.res.Patterns.LastMask()
-	p.masks[root] = m
-	p.touched = append(p.touched, root)
+	p.seed(root)
+	p.sweep(root)
+	return p.masks
+}
 
-	// Reverse topological sweep: node ids descend, and fanins always
-	// have smaller ids, so a single descending pass propagates all
-	// masks.
-	for id := root; id > 0; id-- {
+// runAll computes, per node, the mask of patterns on which flipping the
+// node's value flips some primary output, in one pass seeded at every
+// output's root. Masks combine by OR at each node and AND with side
+// inputs along each edge, and AND distributes over OR, so a node's mask
+// is the union over its paths to a root of the path's side conditions:
+// bit for bit the OR of run(j) over all outputs. The returned slice is
+// valid until the next call.
+func (p *propagator) runAll() []simulate.Vec {
+	p.retire()
+	top := 0
+	for _, lit := range p.g.POs() {
+		p.seed(lit.Node())
+		top = max(top, lit.Node())
+	}
+	p.sweep(top)
+	return p.masks
+}
+
+// sweep propagates the seeded masks from node top down. Node ids
+// descend and fanins always have smaller ids, so a single descending
+// pass propagates all masks.
+func (p *propagator) sweep(top int) {
+	for id := top; id > 0; id-- {
 		pm := p.masks[id]
 		if pm == nil || !p.g.IsAnd(id) {
 			continue
@@ -500,7 +700,6 @@ func (p *propagator) run(j int) []simulate.Vec {
 		p.propagateToFanin(pm, n.Fanin0, n.Fanin1)
 		p.propagateToFanin(pm, n.Fanin1, n.Fanin0)
 	}
-	return p.masks
 }
 
 // propagateToFanin ORs into the mask of fanin `to` the patterns where a
@@ -511,7 +710,7 @@ func (p *propagator) propagateToFanin(outMask simulate.Vec, to, sibling aig.Lit)
 	if id == 0 {
 		return
 	}
-	sv := p.res.NodeVals[sibling.Node()]
+	sv := p.vals[sibling.Node()][p.w0 : p.w0+len(outMask)]
 	m := p.masks[id]
 	if m == nil {
 		m = p.alloc()

@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,19 +16,26 @@ import (
 // approxMult returns a 4x4 multiplier with one error-introducing LAC
 // applied, the exact reference and a pattern set with a partial last
 // word, so the word-level scores start from a nonzero base error.
-func approxMult(t *testing.T) (g, ref *aig.Graph, p *simulate.Patterns) {
+func approxMult(t testing.TB) (g, ref *aig.Graph, p *simulate.Patterns) {
 	t.Helper()
 	ref = circuits.ArrayMult(4)
 	p = simulate.Random(ref.NumPIs(), 1000, 5)
+	return approxOf(t, ref, p), ref, p
+}
+
+// approxOf returns ref with its first error-introducing LAC under p
+// applied.
+func approxOf(t testing.TB, ref *aig.Graph, p *simulate.Patterns) *aig.Graph {
+	t.Helper()
 	res := simulate.MustRun(ref, p)
 	cmp := errmetric.NewComparator(errmetric.NMED, ref, p)
 	for _, l := range lac.Generate(ref, res, lac.Config{EnableResub: true}) {
 		if ExactDeltaE(ref, res, cmp, l) > 0 {
-			return lac.Apply(ref, []*lac.LAC{l}), ref, p
+			return lac.Apply(ref, []*lac.LAC{l})
 		}
 	}
 	t.Fatal("no error-introducing candidate")
-	return nil, nil, nil
+	return nil
 }
 
 // TestWordLevelDeltaEMatchesFlipScoring builds each candidate's output
@@ -50,7 +58,7 @@ func TestWordLevelDeltaEMatchesFlipScoring(t *testing.T) {
 		flips[i] = make([]simulate.Vec, g.NumPOs())
 	}
 	prop := &propagator{}
-	prop.reset(g, res)
+	prop.reset(g, res.NodeVals, 0, rootOf(res.Patterns))
 	for j := 0; j < g.NumPOs(); j++ {
 		masks := prop.run(j)
 		for i, l := range cands {
@@ -115,7 +123,7 @@ func refERDeltaE(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, 
 	}
 	reach = make([]int, len(cands))
 	prop := &propagator{}
-	prop.reset(g, res)
+	prop.reset(g, res.NodeVals, 0, rootOf(res.Patterns))
 	diffJ := make(simulate.Vec, words)
 	for j := 0; j < g.NumPOs(); j++ {
 		masks := prop.run(j)
@@ -145,34 +153,58 @@ func refERDeltaE(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, 
 	return deltas, reach
 }
 
-// TestERDeltaEMatchesAnyDiffRows checks that every ER ΔE from the
-// per-target masks equals the per-(output, candidate) any-diff rows
-// bit for bit, sequentially and sharded, on a base with nonzero error,
-// a partial last word and targets that reach only some outputs.
+// TestERDeltaEMatchesAnyDiffRows checks that every ER ΔE equals the
+// per-(output, candidate) any-diff rows bit for bit, sequentially and
+// sharded, on three bases over a partial last word: the exact circuit
+// (only the all-output pass runs), a base that errs on three words
+// including the last (both passes run, over a reordered value table)
+// and one that errs on every word (only the per-output passes run).
+// Some targets reach only some outputs.
 func TestERDeltaEMatchesAnyDiffRows(t *testing.T) {
-	g, ref, p := approxMult(t)
+	approx, ref, p := approxMult(t)
 	if p.NumPatterns()%64 == 0 {
 		t.Fatalf("%d patterns fill the last word", p.NumPatterns())
 	}
-	res := simulate.MustRun(g, p)
-	cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-	cmp := errmetric.NewComparator(errmetric.ER, ref, p)
-	if cmp.ErrorFromPOs(res.POValues(g)) == 0 {
-		t.Fatal("base circuit is exact")
+	last := p.Words() - 1
+	fewWords := []int{2, 9, last}
+	few, ok := erringPatterns(approx, ref, p.NumPatterns(), func(w int) bool { return w == 2 || w == 9 || w == last }, 5)
+	if !ok {
+		t.Fatal("no patterns for the few-word base")
 	}
-	want, reach := refERDeltaE(g, res, cmp, cands)
-	partial := false
-	for _, r := range reach {
-		partial = partial || (r > 0 && r < g.NumPOs())
-	}
-	if !partial {
-		t.Fatal("no target reaches only some outputs")
-	}
-	for _, workers := range []int{1, 3} {
-		New(workers).EstimateAllRec(g, res, cmp, cands, nil)
-		for i, l := range cands {
-			if math.Float64bits(l.DeltaE) != math.Float64bits(want[i]) {
-				t.Fatalf("workers=%d cand %d (%v): DeltaE %v, any-diff rows %v", workers, i, l, l.DeltaE, want[i])
+	for _, c := range []struct {
+		name  string
+		g     *aig.Graph
+		p     *simulate.Patterns
+		words []int // the erring words; nil: every word
+	}{
+		{"exact", ref, p, []int{}},
+		{"few words", approx, few, fewWords},
+		{"every word", approx, p, nil},
+	} {
+		res := simulate.MustRun(c.g, c.p)
+		cands := lac.Generate(c.g, res, lac.Config{EnableResub: true})
+		cmp := errmetric.NewComparator(errmetric.ER, ref, c.p)
+		got := anyDiffWords(c.g, res, cmp)
+		if c.words == nil && len(got) != c.p.Words() || c.words != nil && fmt.Sprint(got) != fmt.Sprint(c.words) {
+			t.Fatalf("%s: base errs on words %v", c.name, got)
+		}
+		want, reach := refERDeltaE(c.g, res, cmp, cands)
+		partial := false
+		for _, r := range reach {
+			partial = partial || (r > 0 && r < c.g.NumPOs())
+		}
+		if !partial {
+			t.Fatalf("%s: no target reaches only some outputs", c.name)
+		}
+		wantErr := cmp.ErrorFromPOs(res.POValues(c.g))
+		for _, workers := range []int{1, 2, 3, 1000} {
+			if gotErr := New(workers).EstimateAllRec(c.g, res, cmp, cands, nil); math.Float64bits(gotErr) != math.Float64bits(wantErr) {
+				t.Fatalf("%s workers=%d: base error %v, ErrorFromPOs %v", c.name, workers, gotErr, wantErr)
+			}
+			for i, l := range cands {
+				if math.Float64bits(l.DeltaE) != math.Float64bits(want[i]) {
+					t.Fatalf("%s workers=%d cand %d (%v): DeltaE %v, any-diff rows %v", c.name, workers, i, l, l.DeltaE, want[i])
+				}
 			}
 		}
 	}
@@ -213,28 +245,48 @@ func TestEstimateShuffledBatch(t *testing.T) {
 
 // TestEstimateAllocsFlat pins the estimator's allocations under ER and
 // the word-level metrics: once warmed, a round allocates a fixed number
-// of times however many candidates it scores. (Building a flip vector
-// per candidate and output allocated about 20k times per round on
+// of times however many candidates it scores. ER runs on the exact
+// circuit and on a base that errs on some words, so both of its passes
+// and the reordered value table are warm. (Building a flip vector per
+// candidate and output allocated about 20k times per round on
 // ArrayMult(6).)
 func TestEstimateAllocsFlat(t *testing.T) {
-	g := circuits.ArrayMult(5)
-	p := simulate.NewPatterns(g.NumPIs(), 2048, 1)
-	res := simulate.MustRun(g, p)
-	cands := lac.Generate(g, res, lac.Config{EnableResub: true})
-	few := cands[:len(cands)/16]
-	for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.NMED, errmetric.MaxED} {
-		cmp := errmetric.NewComparator(kind, g, p)
+	ref := circuits.ArrayMult(5)
+	p := simulate.NewPatterns(ref.NumPIs(), 2048, 1)
+	approx := approxOf(t, ref, p)
+	mixed, ok := erringPatterns(approx, ref, 2048, func(w int) bool { return w%5 == 1 }, 1)
+	if !ok {
+		t.Fatal("no patterns for the mixed base")
+	}
+	for _, c := range []struct {
+		name string
+		kind errmetric.Kind
+		g    *aig.Graph
+		p    *simulate.Patterns
+	}{
+		{"ER", errmetric.ER, ref, p},
+		{"ER, base errs on some words", errmetric.ER, approx, mixed},
+		{"NMED", errmetric.NMED, ref, p},
+		{"MaxED", errmetric.MaxED, ref, p},
+	} {
+		res := simulate.MustRun(c.g, c.p)
+		cands := lac.Generate(c.g, res, lac.Config{EnableResub: true})
+		few := cands[:len(cands)/16]
+		cmp := errmetric.NewComparator(c.kind, ref, c.p)
+		if c.g == approx && len(anyDiffWords(c.g, res, cmp)) == 0 {
+			t.Fatalf("%s: base is exact", c.name)
+		}
 		e := New(1)
 		allocs := func(cs []*lac.LAC) float64 {
-			e.EstimateAllRec(g, res, cmp, cands, nil) // warm every arena to the full batch
-			return testing.AllocsPerRun(10, func() { e.EstimateAllRec(g, res, cmp, cs, nil) })
+			e.EstimateAllRec(c.g, res, cmp, cands, nil) // warm every arena to the full batch
+			return testing.AllocsPerRun(10, func() { e.EstimateAllRec(c.g, res, cmp, cs, nil) })
 		}
 		a1, a2 := allocs(few), allocs(cands)
-		t.Logf("%v: %v allocs for %d candidates, %v for %d", kind, a1, len(few), a2, len(cands))
+		t.Logf("%s: %v allocs for %d candidates, %v for %d", c.name, a1, len(few), a2, len(cands))
 		// Every buffer that grows with the batch lives in the
 		// Estimator, so the counts are exact, race detector included.
 		if a2 > a1 {
-			t.Errorf("%v: %v allocs for %d candidates but %v for %d; want no growth", kind, a1, len(few), a2, len(cands))
+			t.Errorf("%s: %v allocs for %d candidates but %v for %d; want no growth", c.name, a1, len(few), a2, len(cands))
 		}
 	}
 }

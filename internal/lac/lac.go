@@ -239,20 +239,21 @@ func fnEval3(f Fn, a, b, c uint64) uint64 {
 // Deviation returns the packed mask of patterns on which the LAC
 // changes the target node's value, together with its popcount.
 func (l *LAC) Deviation(res *simulate.Result) (simulate.Vec, int) {
-	return l.DeviationInto(make(simulate.Vec, res.Patterns.Words()), res)
+	dev := l.DeviationInto(make(simulate.Vec, res.Patterns.Words()), res)
+	return dev, simulate.PopCount(dev)
 }
 
-// DeviationInto is Deviation writing into dst (length must equal the
-// pattern word count), for callers reusing scratch vectors across
-// candidates. Returns dst.
-func (l *LAC) DeviationInto(dst simulate.Vec, res *simulate.Result) (simulate.Vec, int) {
+// DeviationInto writes Deviation's mask, without its popcount, into dst
+// (length must equal the pattern word count), for callers reusing
+// scratch vectors across candidates. Returns dst.
+func (l *LAC) DeviationInto(dst simulate.Vec, res *simulate.Result) simulate.Vec {
 	l.NewValueInto(dst, res)
 	cur := res.NodeVals[l.Target]
 	for w := range dst {
 		dst[w] ^= cur[w]
 	}
 	dst[len(dst)-1] &= res.Patterns.LastMask()
-	return dst, simulate.PopCount(dst)
+	return dst
 }
 
 // Apply applies a set of conflict-free LACs to g simultaneously and

@@ -26,7 +26,7 @@ import (
 // reproduce the one expected row, so a change to the loop that moves
 // any trajectory, or lets the switches disagree, fails here. Cells
 // named in genCfg run under that generation config instead of the
-// default one.
+// default one, and cells named in exact run with exact estimates.
 func TestGoldenTrajectories(t *testing.T) {
 	mult4 := func() *aig.Graph { return circuits.ArrayMult(4) }
 	rca8 := func() *aig.Graph { return circuits.RCA(8) }
@@ -71,9 +71,26 @@ func TestGoldenTrajectories(t *testing.T) {
 		// sees live output ranges that start above PO 0.
 		{"ksa16-nmed", ksa16, errmetric.NMED, 0.005, 0,
 			71, 0x3f71242a92154918, 8, "bounded", "22cad9bb51ca7036000101506744cee110d051aa3c022f7aff50c4adfe6dee6d", 0},
+		// Exact estimation: every candidate's ΔE is its measured error
+		// increase under the pattern set, under each metric. The ER run
+		// takes the same path as the fast estimator's.
+		{"mult4-er-exact", mult4, errmetric.ER, 0.03, 0,
+			110, 0x3f90000000000000, 3, "bounded", "08ae0928cbd3024c397aada5235848ac8632f88afe37b113d80800717299ef9c", 0},
+		{"mult4-nmed-exact", mult4, errmetric.NMED, 0.03, 0,
+			31, 0x3f9e8e8e8e8e8e7e, 15, "bounded", "de1958f6c1a4242f1f58ef2aaf02bf8d6282d219f21d1a870f6c7462b29f4450", 0},
+		{"mult4-mred-exact", mult4, errmetric.MRED, 0.03, 0,
+			87, 0x3f9ca036c2ae99c1, 9, "bounded", "bba492b496e45e059cd4fec2d65118999de2ed05b7c70ef46496c2398653356b", 0},
+		{"mult4-maxed-exact", mult4, errmetric.MaxED, 16, 0,
+			74, 0x402e000000000000, 8, "bounded", "ec5f1dd8d95712f3489b11a7afe521f6c79645dc3a17d4c82ecb2785fcd29fce", 0},
 	}
 	genCfg := map[string]lac.Config{
 		"mult4-nmed-resub": {EnableResub: true, EnableResub3: true},
+	}
+	exact := map[string]bool{
+		"mult4-er-exact":    true,
+		"mult4-nmed-exact":  true,
+		"mult4-mred-exact":  true,
+		"mult4-maxed-exact": true,
 	}
 
 	runs, guardRounds, revertedRounds, heuristicMIS := 0, 0, 0, 0
@@ -83,11 +100,12 @@ func TestGoldenTrajectories(t *testing.T) {
 			for _, incremental := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/workers=%d/incremental=%v", tc.name, workers, incremental), func(t *testing.T) {
 					res := Run(tc.build(), tc.metric, tc.bound, Options{
-						NumPatterns: 1024,
-						Workers:     workers,
-						Incremental: incremental,
-						GenCfg:      genCfg[tc.name],
-						Params:      Params{Seed: 7, MaxRounds: 30, LD: tc.ld},
+						NumPatterns:    1024,
+						Workers:        workers,
+						Incremental:    incremental,
+						GenCfg:         genCfg[tc.name],
+						ExactEstimates: exact[tc.name],
+						Params:         Params{Seed: 7, MaxRounds: 30, LD: tc.ld},
 					})
 					var buf bytes.Buffer
 					if err := aiger.WriteBinary(&buf, res.Final); err != nil {

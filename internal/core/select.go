@@ -241,9 +241,8 @@ type selector struct {
 	// keys holds rankTop's keys, ranked its per-candidate marks.
 	keys   []rankKey
 	ranked []bool
-	// fo is the round's fanout index; fan packs F(x) for every node x
-	// from the lowest target up, and off indexes it (see fanoutRows).
-	fo  aig.Fanouts
+	// fan packs F(x) for every node x from the lowest target up, and
+	// off indexes it (see fanoutRows).
 	fan []uint64
 	off []int
 	gs  mis.Graph
@@ -305,8 +304,9 @@ type gsolRow struct {
 // topological order (e < l), p_ji is 1/d when l lies in e's transitive
 // fanout at shortest directed distance d, and otherwise the overlap
 // |F(e) ∩ F(l)| / |F(l)| of their transitive fanouts (each including
-// its root). It returns the graph, which the selector reuses on its
-// next call, the number of pairs scored and the number of edges.
+// its root). fanouts is g's fanout index. It returns the graph, which
+// the selector reuses on its next call, the number of pairs scored and
+// the number of edges.
 //
 // Every edge is decided exactly, in one pass over the pairs with every
 // fanout set computed beforehand (fanoutRows). A connected pair has
@@ -324,15 +324,13 @@ type gsolRow struct {
 // shard sets the arc from e's vertex to l's in G_sol rows only it
 // owns, and one mirror pass then completes the edges and degrees, so
 // the graph does not depend on the worker count.
-func (s *selector) buildGSol(g *aig.Graph, targets []int, tb float64) (gs *mis.Graph, pairs, above int) {
+func (s *selector) buildGSol(g *aig.Graph, fanouts *aig.Fanouts, targets []int, tb float64) (gs *mis.Graph, pairs, above int) {
 	n := len(targets)
 	gs = &s.gs
 	gs.Reset(n)
 	if n < 2 {
 		return gs, 0, 0
 	}
-	g.FanoutsInto(&s.fo)
-	fanouts := &s.fo
 	nn := g.NumNodes()
 	rows := make([]gsolRow, n)
 	for v, x := range targets {
@@ -440,15 +438,16 @@ type indpStats struct {
 // selectIndp implements SelectIndpLACs (Section II-D): build the
 // graph G_sol over target nodes with edges where p_ji > t_b, solve an
 // MIS to obtain N_indp, and pick the final independent LAC set from
-// the potential set L_pote under the r_sel / λ·e_b budget.
-func (s *selector) selectIndp(g *aig.Graph, lSol []*lac.LAC, e, eb float64, p Params) ([]*lac.LAC, indpStats) {
+// the potential set L_pote under the r_sel / λ·e_b budget. fanouts is
+// g's fanout index.
+func (s *selector) selectIndp(g *aig.Graph, fanouts *aig.Fanouts, lSol []*lac.LAC, e, eb float64, p Params) ([]*lac.LAC, indpStats) {
 	var st indpStats
 	if len(lSol) == 0 {
 		return nil, st
 	}
 	// After conflict resolution every LAC has a unique target, so
 	// G_sol's vertices map 1:1 to lSol entries.
-	gs, pairs, above := s.buildGSol(g, lac.Targets(lSol), p.TB)
+	gs, pairs, above := s.buildGSol(g, fanouts, lac.Targets(lSol), p.TB)
 	st.pairs, st.above = pairs, above
 	nIndp := mis.Solve(gs, p.Seed, s.workers)
 	st.misSize = len(nIndp)

@@ -424,7 +424,7 @@ func checkGSol(t *testing.T, sels []*selector, g *aig.Graph, targets []int, p []
 	t.Helper()
 	n := len(targets)
 	for _, sel := range sels {
-		gs, pairs, above := sel.buildGSol(g, targets, tb)
+		gs, pairs, above := sel.buildGSol(g, g.Fanouts(), targets, tb)
 		if pairs != n*(n-1)/2 {
 			t.Fatalf("workers=%d tb=%v n=%d: pairs = %d, want %d", sel.workers, tb, n, pairs, n*(n-1)/2)
 		}
@@ -562,6 +562,7 @@ func BenchmarkSelectIndp(b *testing.B) {
 	sortByDeltaE(cands)
 	params := Params{}.fillDefaults(g.NumAnds())
 	lSol, _, _ := findSolveLACConf(obtainTopSet(cands, 0, eb, params.RRef))
+	fo := g.Fanouts()
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			sel := newSelector(workers)
@@ -569,7 +570,7 @@ func BenchmarkSelectIndp(b *testing.B) {
 			b.ResetTimer()
 			var st indpStats
 			for i := 0; i < b.N; i++ {
-				_, st = sel.selectIndp(g, lSol, 0, eb, params)
+				_, st = sel.selectIndp(g, fo, lSol, 0, eb, params)
 			}
 			b.ReportMetric(float64(st.pairs), "pairs/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.pairs), "ns/pair")
@@ -603,10 +604,10 @@ func TestInfluenceIndex(t *testing.T) {
 	}
 	// buildGSol joins x and z exactly when 0.5 exceeds t_b.
 	targets := []int{z.Node(), x.Node()}
-	if gs, _, _ := newSelector(1).buildGSol(g, targets, 0.49); !gs.HasEdge(0, 1) {
+	if gs, _, _ := newSelector(1).buildGSol(g, g.Fanouts(), targets, 0.49); !gs.HasEdge(0, 1) {
 		t.Error("t_b=0.49: missing x-z chain edge")
 	}
-	if gs, _, above := newSelector(1).buildGSol(g, targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
+	if gs, _, above := newSelector(1).buildGSol(g, g.Fanouts(), targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
 		t.Error("t_b=0.5: unexpected x-z chain edge")
 	}
 }
@@ -628,10 +629,10 @@ func TestInfluenceIndexDisconnected(t *testing.T) {
 		t.Errorf("p(x1,x2) = %g, want 0.5", p)
 	}
 	targets := []int{x1.Node(), x2.Node()}
-	if gs, _, _ := newSelector(1).buildGSol(g, targets, 0.49); !gs.HasEdge(0, 1) {
+	if gs, _, _ := newSelector(1).buildGSol(g, g.Fanouts(), targets, 0.49); !gs.HasEdge(0, 1) {
 		t.Error("t_b=0.49: missing shared-fanout edge")
 	}
-	if gs, _, above := newSelector(1).buildGSol(g, targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
+	if gs, _, above := newSelector(1).buildGSol(g, g.Fanouts(), targets, 0.5); gs.HasEdge(0, 1) || above != 0 {
 		t.Error("t_b=0.5: unexpected shared-fanout edge")
 	}
 }

@@ -303,23 +303,32 @@ func (c *Comparator) ErrorFromPOsXor(base, flip []simulate.Vec) float64 {
 }
 
 // BaseEval caches the per-pattern values, bit planes and error of one
-// approximate circuit, so that many flip-mask variants of it (one per
-// candidate LAC) can be scored incrementally: only the patterns an
+// approximate circuit, so that many variants of it (one per candidate
+// LAC or LAC set) can be scored incrementally: only the patterns an
 // output flip touches are re-evaluated.
 type BaseEval struct {
 	// POs are the base circuit's simulated outputs.
 	POs []simulate.Vec
 	// Vals are the per-pattern output values (NMED and MRED only: the
-	// base error sums them in pattern order, and MRED's kernel reads
+	// mean kernels read the base side of every changed pattern from
 	// them).
 	Vals []uint64
 	// Err is the base circuit's error.
 	Err float64
-	// contrib caches each pattern's error contribution (MRED only): the
-	// per-pattern kernel reads the base side of every delta from it.
-	contrib []float64
+	// count is the base's integer error count: its erring patterns (ER)
+	// or erring output bits (MHD).
+	count int
+	// anyDiff holds, per 64-pattern word, the real patterns on which
+	// some output differs from the reference (ER, NMED and MRED). Under
+	// NMED and MRED they are exactly the patterns whose error term is
+	// nonzero.
+	anyDiff []uint64
+	// contrib caches each pattern's error term (NMED and MRED), and
+	// pre[w] the sum of the terms before word w, added in pattern order
+	// as ErrorFromPOs adds them.
+	contrib, pre []float64
 	// wordMax caches, per 64-pattern word, the base circuit's largest
-	// error distance (MaxED only): the scoring kernel skips every word a
+	// error distance (MaxED only): the scoring kernels skip every word a
 	// candidate's flips do not touch.
 	wordMax []uint64
 	// The plane kernel's base state (NMED and MaxED), word by word. With
@@ -345,14 +354,11 @@ func (c *Comparator) NewBaseEval(pos []simulate.Vec) *BaseEval {
 // ErrorFromPOs(pos).
 func (c *Comparator) ResetBaseEval(b *BaseEval, pos []simulate.Vec) {
 	b.POs = pos
-	if !c.kind.IsWordLevel() {
-		b.Err = c.ErrorFromPOs(pos)
-		return
-	}
+	n, words := c.patterns.NumPatterns(), c.patterns.Words()
 	switch c.kind {
 	case MaxED:
 		c.fillPlanes(b)
-		m, words := c.numPOs, c.patterns.Words()
+		m := c.numPOs
 		b.wordMax = slices.Grow(b.wordMax[:0], words)[:words]
 		var g uint64
 		for w := range b.wordMax {
@@ -361,24 +367,54 @@ func (c *Comparator) ResetBaseEval(b *BaseEval, pos []simulate.Vec) {
 		}
 		b.Err = float64(g)
 		return
-	case NMED:
+	case MHD:
+		b.count = 0
+		for j, v := range pos {
+			for w, x := range c.exactPOs[j] {
+				b.count += bits.OnesCount64((v[w] ^ x) & c.realLanes(w))
+			}
+		}
+		b.Err = float64(b.count) / float64(n*c.numPOs)
+		return
+	}
+	b.anyDiff = slices.Grow(b.anyDiff[:0], words)[:words]
+	clear(b.anyDiff)
+	for j, v := range pos {
+		for w, x := range c.exactPOs[j] {
+			b.anyDiff[w] |= v[w] ^ x
+		}
+	}
+	b.anyDiff[words-1] &= c.patterns.LastMask()
+	if c.kind == ER {
+		b.count = 0
+		for _, x := range b.anyDiff {
+			b.count += bits.OnesCount64(x)
+		}
+		b.Err = float64(b.count) / float64(n)
+		return
+	}
+	if c.kind == NMED {
 		c.fillPlanes(b)
-	case MRED:
-		n := c.patterns.NumPatterns()
-		b.contrib = slices.Grow(b.contrib[:0], n)[:n]
 	}
 	b.Vals = extractValues(b.Vals, pos, c.patterns)
-	// Summing the contributions in pattern order is exactly how
-	// ErrorFromPOs accumulates the mean, so Err is bit-identical to it.
+	b.contrib = slices.Grow(b.contrib[:0], n)[:n]
+	clear(b.contrib)
+	b.pre = slices.Grow(b.pre[:0], words)[:words]
+	// ErrorFromPOs adds every pattern's term in pattern order. A pattern
+	// on which the outputs agree adds +0, which leaves the (never
+	// negative) sum unchanged, so adding only the nonzero terms in order
+	// gives Err bit-identical to it.
 	sum := 0.0
-	for pat, av := range b.Vals {
-		x := c.contribution(av, c.exactVals[pat])
-		if c.kind == MRED {
-			b.contrib[pat] = x
+	for w, x := range b.anyDiff {
+		b.pre[w] = sum
+		for ; x != 0; x &= x - 1 {
+			pat := w<<6 + bits.TrailingZeros64(x)
+			t := c.contribution(b.Vals[pat], c.exactVals[pat])
+			b.contrib[pat] = t
+			sum += t
 		}
-		sum += x
 	}
-	b.Err = sum / float64(len(b.Vals))
+	b.Err = sum / float64(n)
 }
 
 // fillPlanes computes b's plane kernel state from b.POs: the base
@@ -390,26 +426,9 @@ func (c *Comparator) fillPlanes(b *BaseEval) {
 	b.dist = slices.Grow(b.dist[:0], words*m)[:words*m]
 	b.borrow = slices.Grow(b.borrow[:0], words*(m+1))[:words*(m+1)]
 	b.eqAbove = slices.Grow(b.eqAbove[:0], words*(m+1))[:words*(m+1)]
-	var diff [63]uint64
 	for w := 0; w < words; w++ {
 		base, exact := b.pl[w*m:(w+1)*m], c.exactPl[w*m:(w+1)*m]
-		borrow := b.borrow[w*(m+1) : (w+1)*(m+1)]
-		var br uint64
-		for j, x := range base {
-			y := exact[j]
-			borrow[j] = br
-			diff[j] = x ^ y ^ br
-			br = ^x&y | ^(x^y)&br
-		}
-		borrow[m] = br
-		// Negate diff where base < exact, as (diff ^ br) + br.
-		dist := b.dist[w*m : (w+1)*m]
-		carry := br
-		for j := range dist {
-			x := diff[j] ^ br
-			dist[j] = x ^ carry
-			carry &= x
-		}
+		absDiffPlanes(b.dist[w*m:(w+1)*m], b.borrow[w*(m+1):(w+1)*(m+1)], base, exact)
 		eq := b.eqAbove[w*(m+1) : (w+1)*(m+1)]
 		same := ^uint64(0)
 		eq[m] = same
@@ -417,6 +436,29 @@ func (c *Comparator) fillPlanes(b *BaseEval) {
 			same &^= base[j] ^ exact[j]
 			eq[j] = same
 		}
+	}
+}
+
+// absDiffPlanes writes the planes of |x − y| into dist, where x and y
+// are unsigned integers given by their m bit planes, by a ripple-borrow
+// subtraction x − y. borrow[j] receives the borrow into plane j, and
+// borrow[m] the sign (x < y).
+func absDiffPlanes(dist, borrow, x, y []uint64) {
+	var diff [63]uint64
+	var br uint64
+	for j, xj := range x {
+		yj := y[j]
+		borrow[j] = br
+		diff[j] = xj ^ yj ^ br
+		br = ^xj&yj | ^(xj^yj)&br
+	}
+	borrow[len(x)] = br
+	// Negate diff where x < y, as (diff ^ br) + br.
+	carry := br
+	for j := range dist {
+		v := diff[j] ^ br
+		dist[j] = v ^ carry
+		carry &= v
 	}
 }
 
@@ -443,6 +485,102 @@ func (c *Comparator) contribution(av, ev uint64) float64 {
 		return float64(diff) / den
 	}
 	return 0
+}
+
+// ErrorOnWords returns the error of outputs that equal b.POs except on
+// the listed pattern words, given in ascending order: on word words[i],
+// output j is pl[i*m+j] for m outputs, with bits past the last pattern
+// clear. It is bit-identical to ErrorFromPOs on those outputs and
+// touches only the listed words where it can. ER and MHD adjust the
+// base's integer count by each listed word's change, and MaxED takes
+// the largest of the listed words' maxima and the cached maxima of the
+// rest. NMED and MRED must add every pattern's term in pattern order,
+// since float addition is not associative: they start from the cached
+// sum before the first listed word and add, word by word, the base's
+// cached nonzero terms and the changed patterns' new terms. It only
+// reads b, so concurrent calls on one BaseEval are safe.
+func (c *Comparator) ErrorOnWords(b *BaseEval, words []int, pl []uint64) float64 {
+	if len(words) == 0 {
+		return b.Err
+	}
+	m, n := c.numPOs, c.patterns.NumPatterns()
+	switch c.kind {
+	case ER:
+		count := b.count
+		for i, w := range words {
+			var x uint64
+			for j, v := range pl[i*m : (i+1)*m] {
+				x |= v ^ c.exactPOs[j][w]
+			}
+			count += bits.OnesCount64(x&c.realLanes(w)) - bits.OnesCount64(b.anyDiff[w])
+		}
+		return float64(count) / float64(n)
+	case MHD:
+		count := b.count
+		for i, w := range words {
+			lanes := c.realLanes(w)
+			for j, v := range pl[i*m : (i+1)*m] {
+				e := c.exactPOs[j][w]
+				count += bits.OnesCount64((v^e)&lanes) - bits.OnesCount64((b.POs[j][w]^e)&lanes)
+			}
+		}
+		return float64(count) / float64(n*m)
+	case MaxED:
+		var g uint64
+		var dist [63]uint64
+		var borrow [64]uint64
+		i := 0
+		for w, wmax := range b.wordMax {
+			if i < len(words) && words[i] == w {
+				absDiffPlanes(dist[:m], borrow[:m+1], pl[i*m:(i+1)*m], c.exactPl[w*m:(w+1)*m])
+				wmax = maxPlanes(dist[:m], c.realLanes(w))
+				i++
+			}
+			g = max(g, wmax)
+		}
+		return float64(g)
+	}
+	sum := b.pre[words[0]]
+	var flip [64]uint64
+	var term [64]float64
+	i := 0
+	for w := words[0]; w < len(b.pre); w++ {
+		at := b.anyDiff[w]
+		contrib := b.contrib[w<<6:]
+		if i < len(words) && words[i] == w {
+			// flip[k] gathers the outputs that change at lane k; term[k]
+			// is lane k's term, the new one where some output changed.
+			lanes := c.realLanes(w)
+			var changed uint64
+			for j, v := range pl[i*m : (i+1)*m] {
+				x := (v ^ b.POs[j][w]) & lanes
+				changed |= x
+				for ; x != 0; x &= x - 1 {
+					flip[bits.TrailingZeros64(x)] |= 1 << uint(j)
+				}
+			}
+			vals, exact := b.Vals[w<<6:], c.exactVals[w<<6:]
+			for x := changed; x != 0; x &= x - 1 {
+				k := bits.TrailingZeros64(x)
+				term[k] = c.contribution(vals[k]^flip[k], exact[k])
+				flip[k] = 0
+			}
+			for x := at &^ changed; x != 0; x &= x - 1 {
+				k := bits.TrailingZeros64(x)
+				term[k] = contrib[k]
+			}
+			// A zero term leaves the sum unchanged, as in ResetBaseEval.
+			for x := at | changed; x != 0; x &= x - 1 {
+				sum += term[bits.TrailingZeros64(x)]
+			}
+			i++
+			continue
+		}
+		for ; at != 0; at &= at - 1 {
+			sum += contrib[bits.TrailingZeros64(at)]
+		}
+	}
+	return sum / float64(n)
 }
 
 // flipSampleBudget bounds the number of flipped patterns MRED scores

@@ -78,3 +78,34 @@ func BenchmarkEstimateAllSmallBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEstimateAllExact measures exact estimation, which measures
+// every candidate by resimulating and scoring what it changes, on the
+// exact mid-size multiplier and 33-output adder under ER, NMED and
+// MaxED.
+func BenchmarkEstimateAllExact(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *aig.Graph
+	}{
+		{"mult6", circuits.ArrayMult(6)},
+		{"ksa32", circuits.KSA(32)},
+	} {
+		g := c.g
+		p := simulate.NewPatterns(g.NumPIs(), 1<<13, 1)
+		res := simulate.MustRun(g, p)
+		cands := lac.Generate(g, res, lac.Config{EnableResub: true})
+		for _, kind := range []errmetric.Kind{errmetric.ER, errmetric.NMED, errmetric.MaxED} {
+			cmp := errmetric.NewComparator(kind, g, p)
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%v/workers=%d", c.name, kind, workers), func(b *testing.B) {
+					e := New(workers)
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						e.EstimateAllExactRec(g, res, cmp, cands, nil)
+					}
+				})
+			}
+		}
+	}
+}

@@ -247,9 +247,11 @@ func TestEstimateShuffledBatch(t *testing.T) {
 // the word-level metrics: once warmed, a round allocates a fixed number
 // of times however many candidates it scores. ER runs on the exact
 // circuit and on a base that errs on some words, so both of its passes
-// and the reordered value table are warm. (Building a flip vector per
-// candidate and output allocated about 20k times per round on
-// ArrayMult(6).)
+// and the reordered value table are warm. Exact estimation and
+// measurement run through the resimulation kernel, whose scratch must
+// not grow with the candidates or with the nodes a set changes. (Building
+// a flip vector per candidate and output allocated about 20k times per
+// round on ArrayMult(6).)
 func TestEstimateAllocsFlat(t *testing.T) {
 	ref := circuits.ArrayMult(5)
 	p := simulate.NewPatterns(ref.NumPIs(), 2048, 1)
@@ -263,11 +265,17 @@ func TestEstimateAllocsFlat(t *testing.T) {
 		kind errmetric.Kind
 		g    *aig.Graph
 		p    *simulate.Patterns
+		// mode is "estimate", "exact" or "measure".
+		mode string
 	}{
-		{"ER", errmetric.ER, ref, p},
-		{"ER, base errs on some words", errmetric.ER, approx, mixed},
-		{"NMED", errmetric.NMED, ref, p},
-		{"MaxED", errmetric.MaxED, ref, p},
+		{"ER", errmetric.ER, ref, p, "estimate"},
+		{"ER, base errs on some words", errmetric.ER, approx, mixed, "estimate"},
+		{"NMED", errmetric.NMED, ref, p, "estimate"},
+		{"MaxED", errmetric.MaxED, ref, p, "estimate"},
+		{"exact NMED", errmetric.NMED, approx, p, "exact"},
+		{"exact ER", errmetric.ER, approx, mixed, "exact"},
+		{"measured MRED", errmetric.MRED, approx, p, "measure"},
+		{"measured MaxED", errmetric.MaxED, approx, p, "measure"},
 	} {
 		res := simulate.MustRun(c.g, c.p)
 		cands := lac.Generate(c.g, res, lac.Config{EnableResub: true})
@@ -277,16 +285,40 @@ func TestEstimateAllocsFlat(t *testing.T) {
 			t.Fatalf("%s: base is exact", c.name)
 		}
 		e := New(1)
-		allocs := func(cs []*lac.LAC) float64 {
-			e.EstimateAllRec(c.g, res, cmp, cands, nil) // warm every arena to the full batch
-			return testing.AllocsPerRun(10, func() { e.EstimateAllRec(c.g, res, cmp, cs, nil) })
+		fo := c.g.Fanouts()
+		// One set of a single LAC and one of many, conflict-free.
+		var set []*lac.LAC
+		for _, l := range cands {
+			if conflictFree(set, l) {
+				set = append(set, l)
+			}
 		}
-		a1, a2 := allocs(few), allocs(cands)
-		t.Logf("%s: %v allocs for %d candidates, %v for %d", c.name, a1, len(few), a2, len(cands))
+		small, large := [][]*lac.LAC{set[len(set)-1:]}, [][]*lac.LAC{set}
+		var out [1]float64
+		run := func(cs []*lac.LAC, sets [][]*lac.LAC) {
+			switch c.mode {
+			case "estimate":
+				e.EstimateAllRec(c.g, res, cmp, cs, nil)
+			case "exact":
+				e.EstimateAllExactRec(c.g, res, cmp, cs, nil)
+			default:
+				e.MeasureSets(c.g, res, cmp, fo, sets, out[:])
+			}
+		}
+		allocs := func(cs []*lac.LAC, sets [][]*lac.LAC) float64 {
+			run(cands, large) // warm every arena to the full batch
+			return testing.AllocsPerRun(10, func() { run(cs, sets) })
+		}
+		a1, a2 := allocs(few, small), allocs(cands, large)
+		what, n1, n2 := "candidates", len(few), len(cands)
+		if c.mode == "measure" {
+			what, n1, n2 = "LACs in the set", len(small[0]), len(set)
+		}
+		t.Logf("%s: %v allocs for %d %s, %v for %d", c.name, a1, n1, what, a2, n2)
 		// Every buffer that grows with the batch lives in the
 		// Estimator, so the counts are exact, race detector included.
 		if a2 > a1 {
-			t.Errorf("%s: %v allocs for %d candidates but %v for %d; want no growth", c.name, a1, len(few), a2, len(cands))
+			t.Errorf("%s: %v allocs for %d %s but %v for %d; want no growth", c.name, a1, n1, what, a2, n2)
 		}
 	}
 }

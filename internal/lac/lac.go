@@ -149,42 +149,60 @@ func (l *LAC) NewValueInto(dst simulate.Vec, res *simulate.Result) simulate.Vec 
 // applied target, the replacement must be evaluated on the already-
 // overlaid values, matching what Rebuild produces. mask is the
 // pattern set's final-word validity mask. Returns dst.
+//
+// The function kind is switched on once, outside the word loop, and
+// each complement flag becomes an XOR mask, so every kind runs one
+// branch-free loop.
 func (l *LAC) NewValueAt(dst simulate.Vec, mask uint64, val func(int) simulate.Vec) simulate.Vec {
-	switch l.Fn.Kind {
+	f := l.Fn
+	c0, c1, c2, out := complMask(f.C0), complMask(f.C1), complMask(f.C2), complMask(f.OutC)
+	switch f.Kind {
 	case FnConst0:
-		for w := range dst {
-			dst[w] = 0
-		}
-		return dst
+		clear(dst)
 	case FnConst1:
 		for w := range dst {
 			dst[w] = ^uint64(0)
 		}
 	case FnWire:
-		a := val(l.SNs[0])
-		if l.Fn.C0 != l.Fn.OutC {
-			for w := range dst {
-				dst[w] = ^a[w]
-			}
-		} else {
-			copy(dst, a)
+		a := val(l.SNs[0])[:len(dst)]
+		for w, x := range a {
+			dst[w] = x ^ c0 ^ out
 		}
-	case FnAnd, FnXor:
-		a := val(l.SNs[0])
-		b := val(l.SNs[1])
-		for w := range dst {
-			dst[w] = fnEval(l.Fn, a[w], b[w])
+	case FnAnd:
+		a, b := val(l.SNs[0])[:len(dst)], val(l.SNs[1])[:len(dst)]
+		for w, x := range a {
+			dst[w] = (x^c0)&(b[w]^c1) ^ out
 		}
-	case FnMux, FnMaj:
-		a := val(l.SNs[0])
-		b := val(l.SNs[1])
-		c := val(l.SNs[2])
-		for w := range dst {
-			dst[w] = fnEval3(l.Fn, a[w], b[w], c[w])
+	case FnXor:
+		a, b := val(l.SNs[0])[:len(dst)], val(l.SNs[1])[:len(dst)]
+		k := c0 ^ c1 ^ out
+		for w, x := range a {
+			dst[w] = x ^ b[w] ^ k
+		}
+	case FnMux:
+		a, b, c := val(l.SNs[0])[:len(dst)], val(l.SNs[1])[:len(dst)], val(l.SNs[2])[:len(dst)]
+		for w, x := range a {
+			s := x ^ c0
+			dst[w] = (s&(b[w]^c1) | ^s&(c[w]^c2)) ^ out
+		}
+	case FnMaj:
+		a, b, c := val(l.SNs[0])[:len(dst)], val(l.SNs[1])[:len(dst)], val(l.SNs[2])[:len(dst)]
+		for w, x := range a {
+			p, q, r := x^c0, b[w]^c1, c[w]^c2
+			dst[w] = (p&q | p&r | q&r) ^ out
 		}
 	}
 	dst[len(dst)-1] &= mask
 	return dst
+}
+
+// complMask returns the XOR mask of a complement flag: all ones when
+// set.
+func complMask(c bool) uint64 {
+	if c {
+		return ^uint64(0)
+	}
+	return 0
 }
 
 // fnEval evaluates a two-input function word-wise.

@@ -185,30 +185,48 @@ func TestDeviation(t *testing.T) {
 }
 
 func TestNewValueMatchesApply(t *testing.T) {
-	// For every function kind, NewValue must agree with simulating the
-	// rebuilt circuit at the substituted node's PO.
+	// For every function kind and every combination of its complement
+	// flags, NewValue must agree with simulating the rebuilt circuit at
+	// the substituted node's PO, on the exhaustive patterns (one partial
+	// word) and on random ones spanning several words, the last partial.
 	g, x1, x2 := fixture()
-	p := simulate.Exhaustive(4)
-	res := simulate.MustRun(g, p)
 	pis := g.PIs()
-	lacs := []*LAC{
-		{Target: x2.Node(), Fn: Fn{Kind: FnConst0}},
-		{Target: x2.Node(), Fn: Fn{Kind: FnConst1}},
-		{Target: x2.Node(), SNs: []int{x1.Node()}, Fn: Fn{Kind: FnWire}},
-		{Target: x2.Node(), SNs: []int{x1.Node()}, Fn: Fn{Kind: FnWire, C0: true}},
-		{Target: x2.Node(), SNs: []int{pis[0], pis[2]}, Fn: Fn{Kind: FnAnd, C1: true}},
-		{Target: x2.Node(), SNs: []int{pis[0], pis[2]}, Fn: Fn{Kind: FnAnd, C0: true, OutC: true}},
-		{Target: x2.Node(), SNs: []int{pis[1], pis[3]}, Fn: Fn{Kind: FnXor}},
-		{Target: x2.Node(), SNs: []int{pis[1], pis[3]}, Fn: Fn{Kind: FnXor, OutC: true}},
+	sns := map[FnKind][]int{
+		FnConst0: nil,
+		FnConst1: nil,
+		FnWire:   {x1.Node()},
+		FnAnd:    {pis[0], pis[2]},
+		FnXor:    {pis[1], pis[3]},
+		FnMux:    {pis[0], x1.Node(), pis[3]},
+		FnMaj:    {pis[1], pis[2], x1.Node()},
 	}
-	for _, l := range lacs {
-		nv := l.NewValue(res)
-		ng := Apply(g, []*LAC{l})
-		nres := simulate.MustRun(ng, p)
-		got := nres.LitValue(ng.PO(2)) // PO 2 taps the target node
-		for w := range nv {
-			if nv[w] != got[w] {
-				t.Errorf("LAC %v: NewValue disagrees with Apply (word %d: %x vs %x)", l, w, nv[w], got[w])
+	var lacs []*LAC
+	for kind := FnConst0; kind <= FnMaj; kind++ {
+		// Only the flags of the kind's inputs, and OutC for all but the
+		// constants, change the function.
+		flags := len(sns[kind]) + 1
+		if kind == FnConst0 || kind == FnConst1 {
+			flags = 0
+		}
+		for bits := 0; bits < 1<<flags; bits++ {
+			f := Fn{Kind: kind, OutC: bits&1 != 0, C0: bits&2 != 0, C1: bits&4 != 0, C2: bits&8 != 0}
+			lacs = append(lacs, &LAC{Target: x2.Node(), SNs: sns[kind], Fn: f})
+		}
+	}
+	if len(lacs) != 2+4+8+8+16+16 {
+		t.Fatalf("%d LACs, want one per kind and flag combination", len(lacs))
+	}
+	for _, p := range []*simulate.Patterns{simulate.Exhaustive(4), simulate.Random(4, 200, 1)} {
+		res := simulate.MustRun(g, p)
+		for _, l := range lacs {
+			nv := l.NewValue(res)
+			ng := Apply(g, []*LAC{l})
+			nres := simulate.MustRun(ng, p)
+			got := nres.LitValue(ng.PO(2)) // PO 2 taps the target node
+			for w := range nv {
+				if nv[w] != got[w] {
+					t.Errorf("%d patterns, LAC %v: NewValue disagrees with Apply (word %d: %x vs %x)", p.NumPatterns(), l, w, nv[w], got[w])
+				}
 			}
 		}
 	}

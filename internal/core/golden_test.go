@@ -72,10 +72,14 @@ func TestGoldenTrajectories(t *testing.T) {
 		{"ksa16-nmed", ksa16, errmetric.NMED, 0.005, 0,
 			71, 0x3f71242a92154918, 8, "bounded", "22cad9bb51ca7036000101506744cee110d051aa3c022f7aff50c4adfe6dee6d", 0},
 		// Exact estimation: every candidate's ΔE is its measured error
-		// increase under the pattern set, under each metric. The ER run
-		// takes the same path as the fast estimator's.
+		// increase under the pattern set, under each metric. The mult4
+		// ER run takes the same path as the fast estimator's; on the
+		// reconvergent CORDIC circuit the exact ER run leaves the fast
+		// one's path (sin7-er: 177 ANDs in 8 rounds).
 		{"mult4-er-exact", mult4, errmetric.ER, 0.03, 0,
 			110, 0x3f90000000000000, 3, "bounded", "08ae0928cbd3024c397aada5235848ac8632f88afe37b113d80800717299ef9c", 0},
+		{"sin7-er-exact", sin7, errmetric.ER, 0.03, 0,
+			183, 0x3f90000000000000, 7, "bounded", "19485292295904ac4cd9f328edf6c5b3835e95168b04340fe28bd0cda93a0c09", 0},
 		{"mult4-nmed-exact", mult4, errmetric.NMED, 0.03, 0,
 			31, 0x3f9e8e8e8e8e8e7e, 15, "bounded", "de1958f6c1a4242f1f58ef2aaf02bf8d6282d219f21d1a870f6c7462b29f4450", 0},
 		{"mult4-mred-exact", mult4, errmetric.MRED, 0.03, 0,
@@ -88,6 +92,7 @@ func TestGoldenTrajectories(t *testing.T) {
 	}
 	exact := map[string]bool{
 		"mult4-er-exact":    true,
+		"sin7-er-exact":     true,
 		"mult4-nmed-exact":  true,
 		"mult4-mred-exact":  true,
 		"mult4-maxed-exact": true,

@@ -649,12 +649,17 @@ func (c *Comparator) scoreOne(b *BaseEval, masks []simulate.Vec) float64 {
 // into plane lo; above hi, new agrees with base, so t is s wherever
 // base and exact still differ there. NMED sums c over each candidate's
 // changed patterns from popcounts of those planes and of the cached
-// distance planes, exactly, as an integer. MaxED takes the bit-sliced
-// maximum, top plane first, of |base − exact| + c on the candidate's
-// changed patterns and of the base distance on the rest, in the words
-// a candidate touches, and each untouched word's cached base maximum.
-// MRED divides by a per-pattern denominator with no plane form, so it
-// keeps the per-pattern kernel (meanTarget).
+// distance planes, exactly, as an integer, blockWords words at a time:
+// it writes each word's planes into rows, one per plane, and counts a
+// candidate's patterns one row at a time across the block, shifting
+// each row's count once. MaxED takes the bit-sliced maximum, top plane
+// first, of |base − exact| + c on the candidate's changed patterns and
+// of the base distance on the rest, in the words a candidate touches,
+// and each untouched word's cached base maximum. It stays word by
+// word: a candidate whose maximum already reaches a word's bound skips
+// the word, so what it pays is per-word work that blocks would not
+// reduce. MRED divides by a per-pattern denominator with no plane form,
+// so it keeps the per-pattern kernel (meanTarget).
 func (c *Comparator) ScoreTarget(b *BaseEval, masks, devs []simulate.Vec, out []float64) {
 	if !c.kind.IsWordLevel() {
 		panic("errmetric: ScoreTarget requires a word-level metric (NMED/MRED/MaxED)")
@@ -727,53 +732,93 @@ func (c *Comparator) changePlanes(b *BaseEval, masks []simulate.Vec, lo, hi, w i
 	return changed, (t ^ s) &^ eq[0] & changed
 }
 
-// plane is one bit plane of a sum: each pattern set in v adds 2^sh.
+// blockWords is the number of pattern words nmedTarget scores at a
+// time.
+const blockWords = 16
+
+// block is one row of nmedTarget's planes over a block's words.
+type block = [blockWords]uint64
+
+// plane names a row of nmedTarget's block: each pattern set in it adds
+// (or subtracts) 2^sh to the candidate's increase.
 type plane struct {
-	v  uint64
-	sh uint
+	row, sh uint8
 }
 
-// nmedTarget is ScoreTarget for NMED on at most targetChunk candidates.
-// Per word, it lists the planes whose patterns add to c (those of d'
-// below its sign) and those whose patterns subtract from it (the sign
-// of d', and 2·|base − exact| on x), skipping empty ones, and each
-// candidate adds up their popcounts under its changed patterns.
-// Candidate k's increase Δ_k, the sum of c over its changed patterns,
-// is the exact integer acc[k][1]·2^32 + acc[k][0]: planes below 32 add
-// into acc[k][0], the others, scaled by 2^-32, into acc[k][1]. One word
-// changes either by less than 2^38, so neither overflows below 2^25
-// words (2^31 patterns). Its error is b.Err + Δ_k/maxVal/n, with Δ_k
-// rounded to float64 once.
+// nmedTarget is ScoreTarget for NMED on at most targetChunk candidates,
+// blockWords pattern words at a time. For each word of a block it calls
+// changePlanes and writes the planes of c into rows, masked to the
+// changed patterns: planes lo..hi+1 of d' at rows 0..hi−lo+1, then the
+// distance planes 0..hi on x. Words past the last pattern word are zero
+// in every row. It lists the nonempty rows whose patterns add to c
+// (those of d' below its sign) and those whose patterns subtract from
+// it (the sign of d', and 2·|base − exact| on x). Each candidate then
+// counts each listed row's patterns under its deviation mask across
+// the block, and shifts the count once. Candidate k's increase Δ_k, the
+// sum of c over its changed patterns, is the exact integer
+// acc[k][1]·2^32 + acc[k][0]: planes below 32 add into acc[k][0], the
+// others, scaled by 2^-32, into acc[k][1]. One word changes either by
+// less than 2^38, so one block changes it by less than 2^42, and
+// neither overflows below 2^25 words (2^31 patterns). Its error is
+// b.Err + Δ_k/maxVal/n, with Δ_k rounded to float64 once.
 func (c *Comparator) nmedTarget(b *BaseEval, masks, devs []simulate.Vec, out []float64, live uint64) {
 	lo, hi := bits.TrailingZeros64(live), 63-bits.LeadingZeros64(live)
-	m := c.numPOs
+	m, words := c.numPOs, c.patterns.Words()
 	var acc [targetChunk][2]int64
 	var cp [64]uint64
-	// add and sub hold a word's planes in ascending shift order; the
-	// first nAdd and nSub of them weigh less than 2^32.
-	var add, sub [64]plane
-	for w := 0; w < c.patterns.Words(); w++ {
-		changed, x := c.changePlanes(b, masks, lo, hi, w, &cp)
-		if changed == 0 {
+	// The rows of d' come first, nd of them, then those of the distance.
+	nd := hi - lo + 2
+	var rows [2 * 64]block
+	// add and sub list a block's nonempty rows in ascending shift order;
+	// the first nAdd and nSub of them weigh less than 2^32.
+	var add, sub [2 * 64]plane
+	// ones is the deviation block of a nil mask, and part holds a mask's
+	// words in a last, partial block.
+	var ones, part block
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	for w0 := 0; w0 < words; w0 += blockWords {
+		nw := min(blockWords, words-w0)
+		var anyChanged, anyX uint64
+		for i := 0; i < nw; i++ {
+			w := w0 + i
+			changed, x := c.changePlanes(b, masks, lo, hi, w, &cp)
+			anyChanged |= changed
+			anyX |= x
+			for j := lo; j <= hi+1; j++ {
+				rows[j-lo][i] = cp[j] & changed
+			}
+			for j, a := range b.dist[w*m : w*m+hi+1] {
+				rows[nd+j][i] = a & x
+			}
+		}
+		if nw < blockWords {
+			for r := range rows[:nd+hi+1] {
+				clear(rows[r][nw:])
+			}
+		}
+		if anyChanged == 0 {
 			continue
 		}
 		na, ns := 0, 0
 		for j := lo; j <= hi; j++ {
-			if cp[j] != 0 {
-				add[na] = plane{cp[j], uint(j)}
+			if nonzero(&rows[j-lo]) {
+				add[na] = plane{uint8(j - lo), uint8(j)}
 				na++
 			}
 		}
-		if x != 0 {
-			for j, a := range b.dist[w*m : w*m+hi+1] {
-				if a &= x; a != 0 {
-					sub[ns] = plane{a, uint(j + 1)}
+		// The distance's plane j weighs 2^(j+1), the sign of d' 2^(hi+1).
+		if anyX != 0 {
+			for j := 0; j <= hi; j++ {
+				if nonzero(&rows[nd+j]) {
+					sub[ns] = plane{uint8(nd + j), uint8(j + 1)}
 					ns++
 				}
 			}
 		}
-		if cp[hi+1] != 0 {
-			sub[ns] = plane{cp[hi+1], uint(hi + 1)}
+		if nonzero(&rows[nd-1]) {
+			sub[ns] = plane{uint8(nd - 1), uint8(hi + 1)}
 			ns++
 		}
 		nAdd, nSub := na, ns
@@ -784,25 +829,17 @@ func (c *Comparator) nmedTarget(b *BaseEval, masks, devs []simulate.Vec, out []f
 			nSub--
 		}
 		for k, dv := range devs {
-			mk := changed & devWord(dv, w)
-			if mk == 0 {
-				continue
+			d := &ones
+			switch {
+			case dv == nil:
+			case nw == blockWords:
+				d = (*block)(dv[w0 : w0+blockWords])
+			default:
+				d = &part
+				copy(d[:], dv[w0:])
 			}
-			var l, h int64
-			for _, p := range add[:nAdd] {
-				l += int64(bits.OnesCount64(p.v&mk)) << p.sh
-			}
-			for _, p := range sub[:nSub] {
-				l -= int64(bits.OnesCount64(p.v&mk)) << p.sh
-			}
-			for _, p := range add[nAdd:na] {
-				h += int64(bits.OnesCount64(p.v&mk)) << (p.sh - 32)
-			}
-			for _, p := range sub[nSub:ns] {
-				h -= int64(bits.OnesCount64(p.v&mk)) << (p.sh - 32)
-			}
-			acc[k][0] += l
-			acc[k][1] += h
+			acc[k][0] += planeSum(&rows, add[:nAdd], d) - planeSum(&rows, sub[:nSub], d)
+			acc[k][1] += planeSum(&rows, add[nAdd:na], d) - planeSum(&rows, sub[nSub:ns], d)
 		}
 	}
 	n := float64(c.patterns.NumPatterns())
@@ -963,6 +1000,33 @@ func (c *Comparator) meanTarget(b *BaseEval, masks, devs []simulate.Vec, out []f
 		d := delta[k] * (float64(t) / float64(sampled[k]))
 		out[k] = b.Err + d/float64(n)
 	}
+}
+
+// nonzero reports whether any word of row is set.
+func nonzero(r *block) bool {
+	return r[0]|r[1]|r[2]|r[3]|r[4]|r[5]|r[6]|r[7]|
+		r[8]|r[9]|r[10]|r[11]|r[12]|r[13]|r[14]|r[15] != 0
+}
+
+// planeSum returns the sum, over the planes p in ps, of the number of
+// patterns set in both rows[p.row] and d, shifted left by p.sh mod 32.
+// The count is written out word by word: in a loop, the popcount's
+// fallback call would keep the running count on the stack.
+func planeSum(rows *[2 * 64]block, ps []plane, d *block) int64 {
+	var sum int64
+	for _, p := range ps {
+		r := &rows[p.row]
+		n := bits.OnesCount64(r[0]&d[0]) + bits.OnesCount64(r[1]&d[1]) +
+			bits.OnesCount64(r[2]&d[2]) + bits.OnesCount64(r[3]&d[3]) +
+			bits.OnesCount64(r[4]&d[4]) + bits.OnesCount64(r[5]&d[5]) +
+			bits.OnesCount64(r[6]&d[6]) + bits.OnesCount64(r[7]&d[7]) +
+			bits.OnesCount64(r[8]&d[8]) + bits.OnesCount64(r[9]&d[9]) +
+			bits.OnesCount64(r[10]&d[10]) + bits.OnesCount64(r[11]&d[11]) +
+			bits.OnesCount64(r[12]&d[12]) + bits.OnesCount64(r[13]&d[13]) +
+			bits.OnesCount64(r[14]&d[14]) + bits.OnesCount64(r[15]&d[15])
+		sum += int64(n) << (p.sh & 31)
+	}
+	return sum
 }
 
 // devWord returns word w of a deviation mask, all ones for a nil mask.

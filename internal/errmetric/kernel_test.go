@@ -238,15 +238,17 @@ func sampleStride(flips []simulate.Vec) int {
 // reference's float64 bits: the exact integer increase, rounded once,
 // for NMED, and the per-pattern scorers for MRED and MaxED. The
 // trials cover a target whose masks are all nil, all-zero and nil
-// deviation masks, and flip bits past the last pattern. The
-// 40000-pattern sets take MRED's sampling stride, with different
-// strides for candidates of one target. The base error the kernel
-// starts from, which NewBaseEval sums per pattern, must match
-// ErrorFromPOs bit for bit too. A last call per set scores more
-// candidates than one kernel chunk holds.
+// deviation masks, and flip bits past the last pattern. NMED scores 16
+// pattern words at a time: 64 patterns fill part of one block, 1000
+// one whole block, 1100 a whole block and 2 words of a second, and the
+// larger sets many blocks. The 40000-pattern sets take MRED's sampling
+// stride, with different strides for candidates of one target. The
+// base error the kernel starts from, which NewBaseEval sums per
+// pattern, must match ErrorFromPOs bit for bit too. A last call per
+// set scores more candidates than one kernel chunk holds.
 func TestScoreFlipsMatchesReference(t *testing.T) {
 	g := circuits.ArrayMult(4)
-	for _, n := range []int{64, 1000, 8192, 40000} {
+	for _, n := range []int{64, 1000, 1100, 8192, 40000} {
 		p := simulate.Random(g.NumPIs(), n, int64(n))
 		strided, mixed := false, false
 		for _, kind := range []Kind{NMED, MRED, MaxED} {
@@ -341,45 +343,50 @@ func countChanged(flips []simulate.Vec) int {
 // accumulator and its one rounding are exercised): flipping the top
 // output of a base that has it right raises the error by about 2^62
 // per pattern, and the same flip on a base that has it wrong lowers it.
+// They must do so on one block of pattern words (1000 patterns) and on
+// several, the last partial (3000 patterns, 47 words), so the wide sums
+// carry across blocks.
 func TestScoreTarget63Outputs(t *testing.T) {
 	const m = 63
 	g := circuits.RandomLogic("wide", 8, m, 2*m+20, 63)
-	p := simulate.Random(g.NumPIs(), 1000, 63)
-	rng := rand.New(rand.NewSource(63))
-	above, below := false, false
-	for _, kind := range []Kind{NMED, MRED, MaxED} {
-		cmp := NewComparator(kind, g, p)
-		for trial := 0; trial < 8; trial++ {
-			base := noisyPOs(cmp.ExactPOs(), rng)
-			if trial%2 == 1 {
-				for w := range base[m-1] {
-					base[m-1][w] = ^cmp.ExactPOs()[m-1][w]
+	for _, n := range []int{1000, 3000} {
+		p := simulate.Random(g.NumPIs(), n, 63)
+		rng := rand.New(rand.NewSource(63))
+		above, below := false, false
+		for _, kind := range []Kind{NMED, MRED, MaxED} {
+			cmp := NewComparator(kind, g, p)
+			for trial := 0; trial < 8; trial++ {
+				base := noisyPOs(cmp.ExactPOs(), rng)
+				if trial%2 == 1 {
+					for w := range base[m-1] {
+						base[m-1][w] = ^cmp.ExactPOs()[m-1][w]
+					}
 				}
-			}
-			for _, v := range base {
-				v[len(v)-1] &= p.LastMask()
-			}
-			b := cmp.NewBaseEval(base)
-			masks := make([]simulate.Vec, m)
-			for j := m - 1 - trial; j < m; j++ {
-				masks[j] = randomVec(p, rng, trial%3)
-			}
-			if trial >= 4 {
-				masks[trial] = randomVec(p, rng, 1)
-			}
-			devs := []simulate.Vec{nil, randomVec(p, rng, 1), randomVec(p, rng, 2)}
-			checkTarget(t, cmp, b, masks, devs, fmt.Sprintf("%v trial %d", kind, trial))
-			if kind == NMED {
-				for _, dev := range devs {
-					d := refNMEDDelta(cmp, b, andVecs(p, masks, dev))
-					above = above || d.Cmp(big.NewInt(math.MaxInt64)) > 0
-					below = below || d.Cmp(big.NewInt(math.MinInt64)) < 0
+				for _, v := range base {
+					v[len(v)-1] &= p.LastMask()
+				}
+				b := cmp.NewBaseEval(base)
+				masks := make([]simulate.Vec, m)
+				for j := m - 1 - trial; j < m; j++ {
+					masks[j] = randomVec(p, rng, trial%3)
+				}
+				if trial >= 4 {
+					masks[trial] = randomVec(p, rng, 1)
+				}
+				devs := []simulate.Vec{nil, randomVec(p, rng, 1), randomVec(p, rng, 2)}
+				checkTarget(t, cmp, b, masks, devs, fmt.Sprintf("n=%d %v trial %d", n, kind, trial))
+				if kind == NMED {
+					for _, dev := range devs {
+						d := refNMEDDelta(cmp, b, andVecs(p, masks, dev))
+						above = above || d.Cmp(big.NewInt(math.MaxInt64)) > 0
+						below = below || d.Cmp(big.NewInt(math.MinInt64)) < 0
+					}
 				}
 			}
 		}
-	}
-	if !above || !below {
-		t.Fatalf("NMED increases above int64 %v, below int64 %v; want both", above, below)
+		if !above || !below {
+			t.Fatalf("n=%d: NMED increases above int64 %v, below int64 %v; want both", n, above, below)
+		}
 	}
 }
 

@@ -105,15 +105,28 @@ type Estimator struct {
 	grouped  []simulate.Vec
 	scores   []float64
 	// base is the scoring state of the round's circuit, refilled in
-	// place by every call that scores; pos and posBuf hold the circuit's
-	// output vectors it reads.
-	base   errmetric.BaseEval
-	pos    []simulate.Vec
-	posBuf []uint64
+	// place by every estimation; pos and posBuf hold the circuit's output
+	// vectors it reads. baseKey names what base was last filled for, and
+	// is zero while base holds no usable state (see baseFor).
+	base    errmetric.BaseEval
+	baseKey baseKey
+	pos     []simulate.Vec
+	posBuf  []uint64
 	// The measurement kernel's state: one resimulator per measurement
 	// shard, and the fanout index exact estimation builds.
 	resims []*resim
 	fo     aig.Fanouts
+}
+
+// baseKey identifies the graph, simulation and comparator a scoring
+// state was filled for. A runner recycles a released simulation's
+// buffers into the next one, but every run returns a new Result, and
+// the key holds its pointers, so no later graph, simulation or
+// comparator can take their addresses while a key names them.
+type baseKey struct {
+	g   *aig.Graph
+	res *simulate.Result
+	cmp *errmetric.Comparator
 }
 
 // New returns an Estimator with the given worker budget (see
@@ -149,17 +162,16 @@ func EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparato
 func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC, rec *obs.Recorder) float64 {
 	sp := rec.StartSpan(obs.PhaseEstimate)
 	defer sp.End()
-	curPOs := e.outputs(g, res)
 	if len(lacs) == 0 {
-		return cmp.ErrorFromPOs(curPOs)
+		return cmp.ErrorFromPOs(e.outputs(g, res))
 	}
 	if cmp.Kind() == errmetric.ER {
-		return e.estimateER(g, res, cmp.ExactPOs(), curPOs, lacs, rec)
+		return e.estimateER(g, res, cmp.ExactPOs(), e.outputs(g, res), lacs, rec)
 	}
 	// The base error comes with the scoring state (bit-identical to
 	// ErrorFromPOs), so the word-level metrics walk the outputs once.
-	cmp.ResetBaseEval(&e.base, curPOs)
-	curErr := e.base.Err
+	base := e.fillBase(g, res, cmp)
+	curErr, curPOs := base.Err, base.POs
 
 	words := res.Patterns.Words()
 	numPOs := g.NumPOs()
@@ -247,7 +259,6 @@ func (e *Estimator) EstimateAllRec(g *aig.Graph, res *simulate.Result, cmp *errm
 				}
 			}
 		})
-		base := &e.base
 		minTargets := minScoreWordOps / (numPOs*words + 1)
 		par.For(par.BlocksMin(e.workers, nt, minTargets), nt, func(_, t0, t1 int) {
 			for t := t0; t < t1; t++ {
@@ -773,12 +784,12 @@ func EstimateAllExactRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comp
 func (e *Estimator) EstimateAllExactRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC, rec *obs.Recorder) float64 {
 	sp := rec.StartSpan(obs.PhaseEstimate)
 	defer sp.End()
-	cmp.ResetBaseEval(&e.base, e.outputs(g, res))
-	curErr := e.base.Err
+	base := e.fillBase(g, res, cmp)
+	curErr := base.Err
 	g.FanoutsInto(&e.fo)
 	n := len(lacs)
 	e.measure(g, res, &e.fo, par.BlocksMin(e.workers, n, minResimPerShard), n, rec, func(r *resim, i int) {
-		lacs[i].DeltaE = r.errorOf(cmp, &e.base, lacs[i:i+1]) - curErr
+		lacs[i].DeltaE = r.errorOf(cmp, base, lacs[i:i+1]) - curErr
 	})
 	return curErr
 }
@@ -788,11 +799,12 @@ func (e *Estimator) EstimateAllExactRec(g *aig.Graph, res *simulate.Result, cmp 
 // simulation of g: bit-identical to cmp.Error(lac.Apply(g, sets[i])).
 // fo must be g's fanout index. The sets are measured side by side, up
 // to one per worker, each by resimulating and scoring only what it
-// changes.
+// changes, from the scoring state the round's estimation filled when
+// it was for g, res and cmp.
 func (e *Estimator) MeasureSets(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, fo *aig.Fanouts, sets [][]*lac.LAC, out []float64) {
-	cmp.ResetBaseEval(&e.base, e.outputs(g, res))
+	base := e.baseFor(g, res, cmp)
 	e.measure(g, res, fo, par.Blocks(e.workers, len(sets)), len(sets), nil, func(r *resim, i int) {
-		out[i] = r.errorOf(cmp, &e.base, sets[i])
+		out[i] = r.errorOf(cmp, base, sets[i])
 	})
 }
 
@@ -802,11 +814,28 @@ func (e *Estimator) MeasureSets(g *aig.Graph, res *simulate.Result, cmp *errmetr
 // index. Sharded across LACs like EstimateAllExactRec.
 func (e *Estimator) MeasureEach(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, fo *aig.Fanouts, lacs []*lac.LAC, rec *obs.Recorder) []float64 {
 	out := make([]float64, len(lacs))
-	cmp.ResetBaseEval(&e.base, e.outputs(g, res))
+	base := e.baseFor(g, res, cmp)
 	e.measure(g, res, fo, par.BlocksMin(e.workers, len(lacs), minResimPerShard), len(lacs), rec, func(r *resim, i int) {
-		out[i] = r.errorOf(cmp, &e.base, lacs[i:i+1])
+		out[i] = r.errorOf(cmp, base, lacs[i:i+1])
 	})
 	return out
+}
+
+// fillBase refills the scoring state for g under res and cmp and
+// returns it.
+func (e *Estimator) fillBase(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator) *errmetric.BaseEval {
+	cmp.ResetBaseEval(&e.base, e.outputs(g, res))
+	e.baseKey = baseKey{g, res, cmp}
+	return &e.base
+}
+
+// baseFor returns the scoring state for g under res and cmp, refilling
+// it only when it was last filled for something else.
+func (e *Estimator) baseFor(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator) *errmetric.BaseEval {
+	if e.baseKey != (baseKey{g, res, cmp}) {
+		return e.fillBase(g, res, cmp)
+	}
+	return &e.base
 }
 
 // measure calls body for every i in [0,n) on the given number of
@@ -857,8 +886,10 @@ func (e *Estimator) measure(g *aig.Graph, res *simulate.Result, fo *aig.Fanouts,
 
 // outputs returns the output vectors of g under res, as
 // res.POValues(g) does, with the complemented ones written into a
-// buffer reused across calls.
+// buffer reused across calls. The scoring state reads those vectors, so
+// it no longer names what it was filled for.
 func (e *Estimator) outputs(g *aig.Graph, res *simulate.Result) []simulate.Vec {
+	e.baseKey = baseKey{}
 	words, m := res.Patterns.Words(), g.NumPOs()
 	e.pos = grow(e.pos, m)
 	e.posBuf = grow(e.posBuf, m*words)

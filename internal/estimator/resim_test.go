@@ -179,3 +179,94 @@ func FuzzResimulateMatchesApply(f *testing.F) {
 		}
 	})
 }
+
+// TestMeasureAfterEstimateMatchesFresh checks the measurements that
+// reuse the scoring state an estimation filled: under all five metrics
+// and both estimation modes, every MeasureSets and MeasureEach result
+// must equal a fresh Estimator's bit for bit. It measures the estimated
+// graph; a second graph, simulated by the same runner into the
+// released first simulation's buffers and measured without an
+// estimation; and a third graph's simulation after an ER estimation,
+// an estimation of no candidates (both leave the state unfilled), and
+// under another metric and back.
+func TestMeasureAfterEstimateMatchesFresh(t *testing.T) {
+	g1, ref, p := approxMult(t)
+	set1 := conflictFreeSet(lac.Generate(g1, simulate.MustRun(g1, p), lac.Config{EnableResub: true}))
+	g2 := lac.Apply(g1, set1[:2])
+	g3 := lac.Apply(g1, set1[2:4])
+	cmpER := errmetric.NewComparator(errmetric.ER, ref, p)
+	for _, kind := range allKinds {
+		cmp := errmetric.NewComparator(kind, ref, p)
+		other := errmetric.NewComparator(allKinds[(int(kind)+1)%len(allKinds)], ref, p)
+		for _, exact := range []bool{false, true} {
+			e := New(2)
+			estimate := func(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, cands []*lac.LAC) {
+				if exact {
+					e.EstimateAllExactRec(g, res, cmp, cands, nil)
+				} else {
+					e.EstimateAllRec(g, res, cmp, cands, nil)
+				}
+			}
+			check := func(what string, g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator) {
+				t.Helper()
+				what = fmt.Sprintf("%v exact=%v, %s under %v", kind, exact, what, cmp.Kind())
+				cands := lac.Generate(g, res, lac.Config{EnableResub: true})
+				set := conflictFreeSet(cands)
+				sets := [][]*lac.LAC{set, set[:1], nil}
+				sample := cands[:min(len(cands), 12)]
+				fo := g.Fanouts()
+				got, want := make([]float64, len(sets)), make([]float64, len(sets))
+				e.MeasureSets(g, res, cmp, fo, sets, got)
+				New(1).MeasureSets(g, res, cmp, fo, sets, want)
+				gotEach := e.MeasureEach(g, res, cmp, fo, sample, nil)
+				wantEach := New(1).MeasureEach(g, res, cmp, fo, sample, nil)
+				for i := range sets {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: set %d measured %v, fresh estimator %v", what, i, got[i], want[i])
+					}
+				}
+				for i := range sample {
+					if math.Float64bits(gotEach[i]) != math.Float64bits(wantEach[i]) {
+						t.Fatalf("%s: LAC %d measured %v, fresh estimator %v", what, i, gotEach[i], wantEach[i])
+					}
+				}
+			}
+			runner := simulate.NewRunner(1)
+			res1, err := runner.Run(g1, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			estimate(g1, res1, cmp, lac.Generate(g1, res1, lac.Config{EnableResub: true}))
+			check("estimated graph", g1, res1, cmp)
+			runner.Release(res1)
+			res2, err := runner.Run(g2, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("second graph in recycled buffers", g2, res2, cmp)
+
+			res3 := simulate.MustRun(g3, p)
+			cands2 := lac.Generate(g2, res2, lac.Config{EnableResub: true})
+			estimate(g3, res3, cmp, lac.Generate(g3, res3, lac.Config{EnableResub: true}))
+			e.EstimateAllRec(g2, res2, cmpER, cands2, nil)
+			check("after an ER estimation", g3, res3, cmp)
+			estimate(g3, res3, cmp, lac.Generate(g3, res3, lac.Config{EnableResub: true}))
+			e.EstimateAllRec(g2, res2, cmp, nil, nil)
+			check("after estimating no candidates", g3, res3, cmp)
+			check("after a measurement", g3, res3, other)
+			check("back from another metric", g3, res3, cmp)
+		}
+	}
+}
+
+// conflictFreeSet returns the candidates that can join, in order, a set
+// of conflict-free LACs.
+func conflictFreeSet(cands []*lac.LAC) []*lac.LAC {
+	var set []*lac.LAC
+	for _, l := range cands {
+		if conflictFree(set, l) {
+			set = append(set, l)
+		}
+	}
+	return set
+}

@@ -33,15 +33,6 @@
 //
 //	accals -circuit mtp8 -bound 0.05 -bundle runs/mtp8
 //	report runs/mtp8
-//
-// Candidate evaluation can be farmed out to external evaluator
-// processes (the same binary in -serve-eval mode); the result is
-// bit-identical to a local run, and any transport failure falls back
-// to local evaluation:
-//
-//	accals -serve-eval -listen 127.0.0.1:7001 &
-//	accals -serve-eval -listen 127.0.0.1:7002 &
-//	accals -circuit mtp8 -bound 0.05 -evaluators 127.0.0.1:7001,127.0.0.1:7002
 package main
 
 import (
@@ -51,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -65,9 +55,7 @@ import (
 	"accals/internal/checkpoint"
 	"accals/internal/circuits"
 	"accals/internal/core"
-	"accals/internal/dispatch"
 	"accals/internal/errmetric"
-	"accals/internal/faultinject"
 	"accals/internal/ledger"
 	"accals/internal/mapping"
 	"accals/internal/maxerr"
@@ -104,12 +92,6 @@ type config struct {
 	checkpointEvery int
 	resume          bool
 	maxRuntime      time.Duration
-
-	evaluators    string
-	evalFaults    string
-	evalFaultSeed int64
-	serveEval     bool
-	listenAddr    string
 
 	tracePath       string
 	traceChromePath string
@@ -152,11 +134,6 @@ func parseFlags(args []string) (*config, bool, error) {
 	fs.BoolVar(&cfg.resume, "resume", false, "resume from the latest snapshot in -checkpoint")
 	fs.DurationVar(&cfg.maxRuntime, "max-runtime", 0, "stop after this wall-clock budget, keeping the best so far (e.g. 30s, 10m)")
 	fs.Int64Var(&cfg.certBudget, "cert-budget", 0, fmt.Sprintf("SAT conflict budget per certification with -metric maxed (0 = default, negative = unlimited); an exhausted budget rejects the round. Only circuits with more than %d inputs use SAT; narrower ones are certified by exhaustive simulation", simulate.ExhaustiveLimit))
-	fs.StringVar(&cfg.evaluators, "evaluators", "", "comma-separated addresses of -serve-eval processes to farm candidate evaluation to; results are identical with or without them")
-	fs.StringVar(&cfg.evalFaults, "eval-faults", "", "fault-injection spec for the evaluator transport (point:mode:prob[:arg][@N], comma-separated; see internal/faultinject)")
-	fs.Int64Var(&cfg.evalFaultSeed, "eval-fault-seed", 1, "random seed for -eval-faults")
-	fs.BoolVar(&cfg.serveEval, "serve-eval", false, "run as a candidate-evaluation server instead of synthesising (use with -listen and -workers)")
-	fs.StringVar(&cfg.listenAddr, "listen", "127.0.0.1:0", "listen address for -serve-eval")
 	fs.StringVar(&cfg.tracePath, "trace", "", "write per-phase span events as JSONL to this file")
 	fs.StringVar(&cfg.traceChromePath, "trace-chrome", "", "write a Chrome trace_event file (open in chrome://tracing or Perfetto)")
 	fs.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics (Prometheus), /status (JSON) and /debug/vars on this address (e.g. :9090, 127.0.0.1:0)")
@@ -204,9 +181,6 @@ func (c *config) validate() error {
 		if c.method != "accals" {
 			return errors.New("-metric maxed requires -method accals (SAT certification is wired into the multi-LAC loop)")
 		}
-		if c.evaluators != "" {
-			return errors.New("-metric maxed cannot use -evaluators: the remote evaluation protocol has no certification path")
-		}
 	} else if c.certBudget != 0 {
 		return errors.New("-cert-budget needs -metric maxed")
 	}
@@ -230,17 +204,6 @@ func (c *config) validate() error {
 	}
 	if c.bundleSlowRound > 0 && c.bundleDir == "" {
 		return errors.New("-bundle-slow-round needs -bundle <dir> to store the profiles in")
-	}
-	if c.evalFaults != "" && c.evaluators == "" {
-		return errors.New("-eval-faults needs -evaluators <addrs> to inject faults into")
-	}
-	if c.method != "accals" && c.evaluators != "" {
-		return fmt.Errorf("-evaluators requires -method accals (got %s)", c.method)
-	}
-	if c.evalFaults != "" {
-		if _, err := faultinject.Parse(c.evalFaultSeed, c.evalFaults); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -268,14 +231,6 @@ func main() {
 	// instead of waiting for the drain.
 	context.AfterFunc(ctx, stop)
 
-	// Server mode needs no circuit or bound: it receives everything
-	// over the wire, so it skips the synthesis-flag validation.
-	if cfg.serveEval {
-		if err := serveEval(ctx, cfg, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if err := cfg.validate(); err != nil {
 		fatal(err)
 	}
@@ -283,23 +238,6 @@ func main() {
 	if err := run(ctx, cfg, os.Stdout); err != nil {
 		fatal(err)
 	}
-}
-
-// serveEval runs the process as a candidate-evaluation server: it
-// listens on cfg.listenAddr and serves dispatch protocol sessions
-// until ctx is cancelled. The resolved address is printed so callers
-// binding port 0 can discover it.
-func serveEval(ctx context.Context, cfg *config, w io.Writer) error {
-	if cfg.workers < 0 {
-		return fmt.Errorf("-workers %d out of range: want 0 (all CPUs) or a positive worker count", cfg.workers)
-	}
-	ln, err := net.Listen("tcp", cfg.listenAddr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "serving eval on %s\n", ln.Addr())
-	srv := &dispatch.Server{Workers: cfg.workers}
-	return srv.Serve(ctx, ln)
 }
 
 // run executes one synthesis according to cfg, writing the human
@@ -363,34 +301,6 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 			ropt.Start.Round, snap.Error, cfg.checkpointDir)
 	}
 
-	// The evaluator pool is built after the resume snapshot is loaded:
-	// prepareResume adopts the snapshot's seed into ropt.PatternSeed, and
-	// the pool must ship the exact pattern set the run will use so remote
-	// shards stay bit-identical to local evaluation.
-	evalCount := 0
-	if cfg.evaluators != "" {
-		var inj *faultinject.Injector
-		if cfg.evalFaults != "" {
-			if inj, err = faultinject.Parse(cfg.evalFaultSeed, cfg.evalFaults); err != nil {
-				return err
-			}
-		}
-		var addrs []string
-		for _, a := range strings.Split(cfg.evaluators, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		if len(addrs) == 0 {
-			return errors.New("-evaluators lists no addresses")
-		}
-		pool := dispatch.NewPool(addrs, metric, g, ropt.Patterns(g), inj)
-		defer pool.Close()
-		ropt.Evaluators = pool
-		evalCount = pool.Evaluators()
-		fmt.Fprintf(w, "evaluators: %d remote\n", evalCount)
-	}
-
 	// The run bundle is opened after the resume snapshot is loaded: a
 	// resumed run appends to the existing ledger, first truncating it to
 	// the byte offset the snapshot recorded so rounds the resume will
@@ -450,7 +360,6 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 			Patterns:    cfg.patterns,
 			Workers:     cfg.workers,
 			Incremental: cfg.incremental,
-			Evaluators:  evalCount,
 			TraceID:     rec.TraceID(),
 			Resumed:     cfg.resume,
 		}
@@ -461,15 +370,6 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		fmt.Fprintf(w, "bundle:    %s\n", bundle.Dir())
 	}
 
-	// Trace context propagation: a traced run hands its trace id to the
-	// evaluators so remote spans come back and land on this run's
-	// timeline. Decided after every tracer is attached (-trace flags
-	// above, the bundle's own trace just before this), and only then —
-	// an untraced run sends an empty trace id, and neither side records
-	// telemetry.
-	if ropt.Evaluators != nil && rec.Tracing() {
-		ropt.Evaluators.TraceID = rec.TraceID()
-	}
 	if rec.Tracing() {
 		fmt.Fprintf(w, "trace id:  %s\n", rec.TraceID())
 	}

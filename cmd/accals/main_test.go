@@ -1,12 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -642,114 +639,29 @@ func TestRunInterruptSavesFinalSnapshotOffCadence(t *testing.T) {
 	}
 }
 
+// TestValidateEvaluatorFlags: the remote-evaluation flags are retired,
+// so every command line that used them, like one using the earlier
+// -speculate, fails at flag parsing (exit status 2).
 func TestValidateEvaluatorFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
-		want string
+		flag string // the unknown flag the parse error names
 	}{
-		{"faults without evaluators", []string{"-circuit", "mtp8", "-eval-faults", "dispatch.connect:error:1"}, "-evaluators"},
-		{"evaluators with seals", []string{"-circuit", "mtp8", "-method", "seals", "-evaluators", "127.0.0.1:1"}, "-method accals"},
-		{"bad fault spec", []string{"-circuit", "mtp8", "-evaluators", "127.0.0.1:1", "-eval-faults", "dispatch.connect:explode:1"}, "unknown mode"},
+		{"faults without evaluators", []string{"-circuit", "mtp8", "-eval-faults", "dispatch.connect:error:1"}, "eval-faults"},
+		{"evaluators with seals", []string{"-circuit", "mtp8", "-method", "seals", "-evaluators", "127.0.0.1:1"}, "evaluators"},
+		{"bad fault spec", []string{"-circuit", "mtp8", "-evaluators", "127.0.0.1:1", "-eval-faults", "dispatch.connect:explode:1"}, "evaluators"},
+		{"fault seed", []string{"-circuit", "mtp8", "-eval-fault-seed", "3"}, "eval-fault-seed"},
+		{"serve eval", []string{"-serve-eval"}, "serve-eval"},
+		{"listen", []string{"-listen", "127.0.0.1:0"}, "listen"},
+		{"speculate", []string{"-circuit", "mtp8", "-speculate"}, "speculate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := mustParse(t, tc.args...).validate()
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("validate(%v) = %v, want substring %q", tc.args, err, tc.want)
+			_, _, err := parseFlags(tc.args)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+tc.flag) {
+				t.Fatalf("parseFlags(%v) = %v, want an unknown-flag error for -%s", tc.args, err, tc.flag)
 			}
 		})
-	}
-	ok := []string{"-circuit", "mtp8", "-evaluators", "127.0.0.1:1,127.0.0.1:2",
-		"-eval-faults", "dispatch.connect:error:0.5,dispatch.frame:truncate:0.1"}
-	if err := mustParse(t, ok...).validate(); err != nil {
-		t.Fatalf("valid evaluator config rejected: %v", err)
-	}
-	// -speculate is not a flag: the parse error is exit status 2.
-	if _, _, err := parseFlags([]string{"-circuit", "mtp8", "-speculate"}); err == nil {
-		t.Fatal("-speculate parsed; want an unknown-flag error")
-	}
-}
-
-// startEvalServer runs serveEval on a loopback port and returns its
-// address, mirroring how the CI smoke test launches evaluator
-// processes (it parses the same "serving eval on" line).
-func startEvalServer(t *testing.T, workers int) string {
-	t.Helper()
-	cfg := mustParse(t, "-serve-eval", "-workers", fmt.Sprint(workers))
-	ctx, cancel := context.WithCancel(context.Background())
-	pr, pw := io.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- serveEval(ctx, cfg, pw) }()
-	t.Cleanup(func() {
-		cancel()
-		if err := <-done; err != nil {
-			t.Errorf("serveEval: %v", err)
-		}
-		pr.Close()
-	})
-	sc := bufio.NewScanner(pr)
-	if !sc.Scan() {
-		t.Fatalf("serveEval printed nothing: %v", sc.Err())
-	}
-	addr, ok := strings.CutPrefix(sc.Text(), "serving eval on ")
-	if !ok {
-		t.Fatalf("unexpected serveEval banner %q", sc.Text())
-	}
-	return addr
-}
-
-// TestRunEvaluatorsEndToEnd drives the whole distributed path through
-// the CLI: two in-process -serve-eval servers, a synthesis run farming
-// estimation to them, and a third run with injected transport faults
-// forcing mid-batch local failover. All reports and output circuits
-// must match the purely local run.
-func TestRunEvaluatorsEndToEnd(t *testing.T) {
-	addrs := startEvalServer(t, 2) + "," + startEvalServer(t, 2)
-	dir := t.TempDir()
-
-	out := func(name string, extra ...string) (string, []byte) {
-		path := filepath.Join(dir, name+".blif")
-		var buf bytes.Buffer
-		args := append([]string{"-circuit", "mtp8", "-metric", "nmed", "-bound", "0.01",
-			"-patterns", "1024", "-seed", "7", "-workers", "2", "-out", path}, extra...)
-		cfg := mustParse(t, args...)
-		if err := cfg.validate(); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(context.Background(), cfg, &buf); err != nil {
-			t.Fatalf("run %v: %v\n%s", extra, err, buf.String())
-		}
-		var stable []string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.HasPrefix(line, "runtime:") || strings.HasPrefix(line, "evaluators:") ||
-				strings.HasPrefix(line, "wrote ") {
-				continue
-			}
-			stable = append(stable, line)
-		}
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.Join(stable, "\n"), blob
-	}
-
-	localRep, localBlob := out("local")
-	remoteRep, remoteBlob := out("remote", "-evaluators", addrs)
-	if localRep != remoteRep {
-		t.Fatalf("distributed report differs from local:\n%s\n---\n%s", localRep, remoteRep)
-	}
-	if !bytes.Equal(localBlob, remoteBlob) {
-		t.Fatal("distributed run wrote a different circuit than the local run")
-	}
-
-	faultyRep, faultyBlob := out("faulty", "-evaluators", addrs,
-		"-eval-faults", "dispatch.connect:error:0.3,dispatch.frame:truncate:0.2,dispatch.send:error:0.2")
-	if localRep != faultyRep {
-		t.Fatalf("fault-injected report differs from local:\n%s\n---\n%s", localRep, faultyRep)
-	}
-	if !bytes.Equal(localBlob, faultyBlob) {
-		t.Fatal("fault-injected run wrote a different circuit than the local run")
 	}
 }

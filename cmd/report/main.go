@@ -7,18 +7,15 @@
 //
 //	report <bundle-dir>              analyse a bundle
 //	report -csv rounds.csv <dir>     also export the round table
-//	report -timeline <dir>           merged per-round wall-clock breakdown
+//	report -timeline <dir>           per-round wall-clock breakdown
 //	report -diff A B                 compare two bundles (or JSON files)
 //	report -job j0.tar.gz            decode a daemon job bundle download
 //
-// Timeline mode reads the bundle's trace.jsonl — which, on a traced
-// distributed run, merges the coordinator's phase spans with
-// per-connection RPC round trips and clock-mapped remote evaluator
-// telemetry — and attributes each round's wall-clock to local compute,
-// network, remote queueing and remote compute, with the unattributed
-// remainder printed (see timeline.go). The -csv export gains tl_*
-// columns with the same breakdown; they stay empty for traceless
-// bundles.
+// Timeline mode reads the bundle's trace.jsonl and splits each round's
+// wall-clock into local compute (covered by the round's spans) and the
+// unattributed remainder (see timeline.go). The -csv export gains a
+// tl_local_us column with each round's local compute; it stays empty
+// for traceless bundles.
 //
 // Job mode takes a bundle downloaded from a running accalsd
 // (GET /v1/jobs/{id}/bundle, a tar.gz) or the job's bundle directory
@@ -67,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	threshold := fs.Float64("threshold", 0.0, "relative difference above which -diff reports a regression (e.g. 0.05 = 5%)")
 	ignore := fs.String("ignore", "", "comma-separated path substrings to skip in -diff (e.g. runtime,seconds)")
 	csvPath := fs.String("csv", "", "export the per-round table as CSV to this file")
-	timeline := fs.Bool("timeline", false, "print the merged per-round wall-clock breakdown from the bundle's trace.jsonl (local/network/remote-queue/remote-compute)")
+	timeline := fs.Bool("timeline", false, "print the per-round wall-clock breakdown from the bundle's trace.jsonl (local-compute/unattributed)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -354,8 +351,8 @@ func printPhases(arg string, w io.Writer) {
 }
 
 // writeCSV exports the per-round table with every ledger column, plus
-// the trace timeline's wall-clock breakdown when the bundle carries
-// one (tl may be nil — the tl_* columns then stay empty).
+// the trace timeline's local compute when the bundle carries a trace
+// (tl may be nil — the tl_local_us column then stays empty).
 func writeCSV(path string, t *ledger.Trajectory, tl *traceTimeline) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -370,7 +367,7 @@ func writeCSV(path string, t *ledger.Trajectory, tl *traceTimeline) error {
 		"duel_indp_err", "duel_rand_err", "est_err", "error",
 		"certified", "cert_conflicts",
 		"num_ands", "area", "depth", "no_progress", "duration_us",
-		"tl_local_us", "tl_remote_us", "tl_net_us", "tl_queue_us",
+		"tl_local_us",
 	}
 	if err := cw.Write(header); err != nil {
 		f.Close()
@@ -397,10 +394,10 @@ func writeCSV(path string, t *ledger.Trajectory, tl *traceTimeline) error {
 		}
 		return fb(*c)
 	}
-	// Timeline columns tolerate traceless ledgers: with no trace data
-	// (or a round the trace never saw) they stay empty rather than
-	// faking zeros.
-	ftl := func(round int, pick func(*roundBreakdown) int64) string {
+	// The timeline column tolerates traceless ledgers: with no trace
+	// data (or a round the trace never saw) it stays empty rather than
+	// faking a zero.
+	ftl := func(round int) string {
 		if tl == nil {
 			return ""
 		}
@@ -408,7 +405,7 @@ func writeCSV(path string, t *ledger.Trajectory, tl *traceTimeline) error {
 		if !ok {
 			return ""
 		}
-		return strconv.FormatInt(pick(rb), 10)
+		return strconv.FormatInt(rb.local, 10)
 	}
 	for _, r := range t.Rounds {
 		rec := []string{
@@ -421,10 +418,7 @@ func writeCSV(path string, t *ledger.Trajectory, tl *traceTimeline) error {
 			fcert(r.Certified), strconv.FormatInt(r.CertConflicts, 10),
 			strconv.Itoa(r.NumAnds), ff(r.Area), strconv.Itoa(r.Depth),
 			strconv.Itoa(r.NoProgress), strconv.FormatInt(r.DurationUS, 10),
-			ftl(r.Round, func(b *roundBreakdown) int64 { return b.local }),
-			ftl(r.Round, func(b *roundBreakdown) int64 { return b.remote }),
-			ftl(r.Round, func(b *roundBreakdown) int64 { return b.net }),
-			ftl(r.Round, func(b *roundBreakdown) int64 { return b.queue }),
+			ftl(r.Round),
 		}
 		if err := cw.Write(rec); err != nil {
 			f.Close()

@@ -13,28 +13,24 @@ import (
 	"accals/internal/ledger"
 )
 
-// Timeline mode (-timeline) merges the bundle's trace.jsonl — local
-// phase spans, per-connection RPC round trips and clock-mapped remote
-// evaluator telemetry — into a per-round wall-clock breakdown. Each
-// round's window (its "round" span) is attributed to four disjoint
-// buckets:
+// Timeline mode (-timeline) turns the bundle's trace.jsonl into a
+// per-round wall-clock breakdown. Each round's window (its "round"
+// span) is split into two disjoint buckets:
 //
-//	remote-compute  coordinator blocked on an RPC while a remote
-//	                evaluator span was executing
-//	network         the remaining blocked-on-RPC time, bounded by the
-//	                connection's measured RTT per round trip
-//	remote-queue    blocked-on-RPC time that is neither remote compute
-//	                nor within the network bound: the frame sat in a
-//	                queue (the evaluator was busy with another slice)
-//	local-compute   local phase work outside any RPC wait (the local
-//	                estimate span wraps the blocking dispatch call, so
-//	                RPC waits are carved out of it first)
+//	local-compute  covered by the round's other spans: its phases and
+//	               the trace-only ledger-map, measure-each and rebase
+//	               spans
+//	unattributed   the rest of the window, printed rather than
+//	               silently folded into a bucket
 //
-// Whatever remains is printed as unattributed — it is never silently
-// folded into a bucket.
+// Only spans on the synthesis loop's main lane count. Traces written
+// by older versions also hold spans on other lanes (rpc:* round trips
+// and remote:* evaluator spans of remote evaluation, speculation-lane
+// spans); those are skipped.
 
-// traceSpan is one decoded trace.jsonl line. Missing pid/tid mean the
-// coordinator's main thread (the writer omits the defaults).
+// traceSpan is one decoded trace.jsonl line. Current writers emit only
+// t_us, dur_us, phase and round; pid, tid and proc appear only in older
+// traces, on spans off the main lane.
 type traceSpan struct {
 	TUS   int64  `json:"t_us"`
 	DurUS int64  `json:"dur_us"`
@@ -43,7 +39,12 @@ type traceSpan struct {
 	Proc  string `json:"proc"`
 	PID   int    `json:"pid"`
 	TID   int    `json:"tid"`
-	NetUS int64  `json:"net_us"`
+}
+
+// mainLane reports whether the span ran on the synthesis loop's main
+// lane: no process label, and pid and tid absent or 1.
+func (s traceSpan) mainLane() bool {
+	return s.Proc == "" && s.PID <= 1 && s.TID <= 1
 }
 
 // iv is a half-open interval [s, e) in trace microseconds.
@@ -78,68 +79,10 @@ func length(u []iv) int64 {
 	return n
 }
 
-// subtract returns a \ b; both inputs must be merged unions.
-func subtract(a, b []iv) []iv {
-	var out []iv
-	j := 0
-	for _, v := range a {
-		s := v.s
-		for j < len(b) && b[j].e <= s {
-			j++
-		}
-		k := j
-		for k < len(b) && b[k].s < v.e {
-			if b[k].s > s {
-				out = append(out, iv{s, b[k].s})
-			}
-			if b[k].e > s {
-				s = b[k].e
-			}
-			k++
-		}
-		if s < v.e {
-			out = append(out, iv{s, v.e})
-		}
-	}
-	return out
-}
-
-// intersect returns a ∩ b; both inputs must be merged unions.
-func intersect(a, b []iv) []iv {
-	var out []iv
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		s, e := max64(a[i].s, b[j].s), min64(a[i].e, b[j].e)
-		if s < e {
-			out = append(out, iv{s, e})
-		}
-		if a[i].e < b[j].e {
-			i++
-		} else {
-			j++
-		}
-	}
-	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // clip intersects a span with a round window, reporting whether any
 // overlap remains.
 func clipSpan(s traceSpan, w iv) (iv, bool) {
-	c := iv{max64(s.TUS, w.s), min64(s.TUS+s.DurUS, w.e)}
+	c := iv{max(s.TUS, w.s), min(s.TUS+s.DurUS, w.e)}
 	return c, c.s < c.e
 }
 
@@ -148,39 +91,16 @@ type roundBreakdown struct {
 	round  int
 	wall   int64
 	local  int64
-	remote int64
-	net    int64
-	queue  int64
 	unattr int64
-}
-
-// critical names the bucket that dominates the round's wall-clock.
-func (r *roundBreakdown) critical() string {
-	name, best := "local-compute", r.local
-	for _, c := range []struct {
-		name string
-		us   int64
-	}{
-		{"remote-compute", r.remote},
-		{"network", r.net},
-		{"remote-queue", r.queue},
-		{"unattributed", r.unattr},
-	} {
-		if c.us > best {
-			name, best = c.name, c.us
-		}
-	}
-	return name
 }
 
 // traceTimeline is the decoded and attributed trace of one bundle.
 type traceTimeline struct {
-	traceID     string
-	spans       int
-	remoteSpans int
-	procs       []string
-	rounds      []roundBreakdown
-	byRound     map[int]*roundBreakdown
+	traceID string
+	spans   int
+	skipped int // spans off the main lane
+	rounds  []roundBreakdown
+	byRound map[int]*roundBreakdown
 }
 
 // loadTimeline decodes dir's trace.jsonl into a per-round breakdown.
@@ -233,12 +153,6 @@ func decodeTraceSpans(r io.Reader) ([]traceSpan, error) {
 			pendingErr = fmt.Errorf("line %d: %v", line, err)
 			continue
 		}
-		if s.PID == 0 {
-			s.PID = 1
-		}
-		if s.TID == 0 {
-			s.TID = 1
-		}
 		spans = append(spans, s)
 	}
 	if err := sc.Err(); err != nil {
@@ -247,67 +161,44 @@ func decodeTraceSpans(r io.Reader) ([]traceSpan, error) {
 	return spans, nil
 }
 
-// buildTimeline attributes every span to its round window.
+// buildTimeline attributes every main-lane span to its round window.
 func buildTimeline(spans []traceSpan) *traceTimeline {
 	tl := &traceTimeline{spans: len(spans), byRound: map[int]*roundBreakdown{}}
-	procSeen := map[string]bool{}
+	var main []traceSpan
+	for _, s := range spans {
+		if s.mainLane() {
+			main = append(main, s)
+		} else {
+			tl.skipped++
+		}
+	}
 
-	// Round windows come from the coordinator's "round" spans.
+	// Round windows come from the "round" spans.
 	type window struct {
 		round int
 		w     iv
 	}
 	var windows []window
-	for _, s := range spans {
-		if s.Phase == "round" && s.PID == 1 && s.TID == 1 {
+	for _, s := range main {
+		if s.Phase == "round" {
 			windows = append(windows, window{s.Round, iv{s.TUS, s.TUS + s.DurUS}})
-		}
-		if s.Proc != "" || s.PID > 1 {
-			tl.remoteSpans++
-			if s.Proc != "" && !procSeen[s.Proc] {
-				procSeen[s.Proc] = true
-				tl.procs = append(tl.procs, s.Proc)
-			}
 		}
 	}
 	sort.Slice(windows, func(i, j int) bool { return windows[i].round < windows[j].round })
-	sort.Strings(tl.procs)
 
 	for _, win := range windows {
-		var localIv, remoteIv, rpcIv []iv
-		var netBudget int64
-		for _, s := range spans {
-			c, ok := clipSpan(s, win.w)
-			if !ok {
+		var localIv []iv
+		for _, s := range main {
+			if s.Phase == "round" {
 				continue
 			}
-			switch {
-			case strings.HasPrefix(s.Phase, "rpc:"):
-				rpcIv = append(rpcIv, c)
-				netBudget += min64(s.NetUS, c.e-c.s)
-			case s.Proc != "" || s.PID > 1:
-				remoteIv = append(remoteIv, c)
-			case s.TID == 1 && s.Phase != "round":
+			if c, ok := clipSpan(s, win.w); ok {
 				localIv = append(localIv, c)
 			}
 		}
-		rpcU := union(rpcIv)
-		remoteU := union(remoteIv)
-		localU := union(localIv)
-
-		// Disjoint attribution: blocked-on-RPC time first (remote
-		// compute within it, then the RTT-bounded network share, the
-		// rest is queueing), then local work outside RPC waits.
 		rb := roundBreakdown{round: win.round, wall: win.w.e - win.w.s}
-		rb.remote = length(intersect(remoteU, rpcU))
-		blockedRest := length(rpcU) - rb.remote
-		rb.net = min64(netBudget, blockedRest)
-		rb.queue = blockedRest - rb.net
-		rb.local = length(subtract(localU, rpcU))
-		rb.unattr = rb.wall - rb.local - rb.remote - rb.net - rb.queue
-		if rb.unattr < 0 {
-			rb.unattr = 0
-		}
+		rb.local = length(union(localIv))
+		rb.unattr = rb.wall - rb.local
 		tl.rounds = append(tl.rounds, rb)
 	}
 	for i := range tl.rounds {
@@ -329,23 +220,23 @@ func readTraceID(dir string) string {
 	return m.TraceID
 }
 
-// printTimeline renders the merged per-round breakdown.
+// printTimeline renders the per-round breakdown.
 func printTimeline(tl *traceTimeline, w io.Writer) {
 	id := tl.traceID
 	if id == "" {
 		id = "(no trace id in manifest)"
 	}
-	fmt.Fprintf(w, "\ntimeline:  trace %s — %d spans, %d remote, %d evaluator process(es)\n",
-		id, tl.spans, tl.remoteSpans, len(tl.procs))
-	for _, p := range tl.procs {
-		fmt.Fprintf(w, "           %s\n", p)
+	fmt.Fprintf(w, "\ntimeline:  trace %s — %d spans", id, tl.spans)
+	if tl.skipped > 0 {
+		fmt.Fprintf(w, ", %d off the main lane skipped", tl.skipped)
 	}
+	fmt.Fprintln(w)
 	if len(tl.rounds) == 0 {
 		fmt.Fprintf(w, "           no round spans in trace\n")
 		return
 	}
 
-	fmt.Fprintf(w, "\nround  wall_ms   local%%  remote%%    net%%  queue%%  unattr%%  critical\n")
+	fmt.Fprintf(w, "\nround  wall_ms   local%%  unattr%%\n")
 	var tot roundBreakdown
 	pct := func(us, wall int64) float64 {
 		if wall <= 0 {
@@ -354,45 +245,12 @@ func printTimeline(tl *traceTimeline, w io.Writer) {
 		return 100 * float64(us) / float64(wall)
 	}
 	for _, r := range tl.rounds {
-		fmt.Fprintf(w, "%5d  %7.1f  %6.1f   %6.1f  %6.1f  %6.1f   %6.1f  %s\n",
-			r.round, float64(r.wall)/1e3,
-			pct(r.local, r.wall), pct(r.remote, r.wall),
-			pct(r.net, r.wall), pct(r.queue, r.wall), pct(r.unattr, r.wall),
-			r.critical())
+		fmt.Fprintf(w, "%5d  %7.1f  %6.1f   %6.1f\n",
+			r.round, float64(r.wall)/1e3, pct(r.local, r.wall), pct(r.unattr, r.wall))
 		tot.wall += r.wall
 		tot.local += r.local
-		tot.remote += r.remote
-		tot.net += r.net
-		tot.queue += r.queue
 		tot.unattr += r.unattr
 	}
-	fmt.Fprintf(w, "\nbreakdown:  local-compute %.1f%%, remote-compute %.1f%%, network %.1f%%, remote-queue %.1f%%, unattributed %.1f%% of %.3fs round wall-clock\n",
-		pct(tot.local, tot.wall), pct(tot.remote, tot.wall),
-		pct(tot.net, tot.wall), pct(tot.queue, tot.wall), pct(tot.unattr, tot.wall),
-		float64(tot.wall)/1e6)
-
-	// Critical-path attribution: which bucket dominated how many rounds.
-	counts := map[string]int{}
-	for i := range tl.rounds {
-		counts[tl.rounds[i].critical()]++
-	}
-	type kc struct {
-		name string
-		n    int
-	}
-	var ks []kc
-	for k, n := range counts {
-		ks = append(ks, kc{k, n})
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].n != ks[j].n {
-			return ks[i].n > ks[j].n
-		}
-		return ks[i].name < ks[j].name
-	})
-	parts := make([]string, len(ks))
-	for i, k := range ks {
-		parts[i] = fmt.Sprintf("%s %d of %d rounds", k.name, k.n, len(tl.rounds))
-	}
-	fmt.Fprintf(w, "critical path:  %s\n", strings.Join(parts, ", "))
+	fmt.Fprintf(w, "\nbreakdown:  local-compute %.1f%%, unattributed %.1f%% of %.3fs round wall-clock\n",
+		pct(tot.local, tot.wall), pct(tot.unattr, tot.wall), float64(tot.wall)/1e6)
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"accals/internal/aig"
-	"accals/internal/dispatch"
 	"accals/internal/errmetric"
 	"accals/internal/estimator"
 	"accals/internal/lac"
@@ -98,13 +97,6 @@ type Options struct {
 	// per-round time. The cache lives in memory for the duration of one
 	// run; a resumed run's first round is a full generation.
 	Incremental bool
-	// Evaluators, when non-nil, farms candidate estimation out to the
-	// pool's external evaluator processes (accals -serve-eval),
-	// splitting each batch into per-evaluator slices plus a local
-	// share. Results are bit-identical to local evaluation and any
-	// transport failure falls back to it, so the pool only ever changes
-	// where the work runs.
-	Evaluators *dispatch.Pool
 	// CertBudget caps the CDCL conflicts each SAT certification may
 	// spend under the MaxED metric: 0 means DefaultCertBudget, a
 	// negative value means unlimited. A round whose certification
@@ -135,13 +127,10 @@ type StartState struct {
 	Round int
 }
 
-// estimate dispatches to the configured estimation mode on the run's
-// Estimator, threading the recorder through for the estimate-phase
-// span.
+// estimate runs the configured estimation mode (fast or exact) on the
+// run's Estimator, threading the recorder through for the
+// estimate-phase span.
 func (o Options) estimate(est *estimator.Estimator, g *aig.Graph, simRes *simulate.Result, cmp *errmetric.Comparator, cands []*lac.LAC) float64 {
-	if o.Evaluators != nil {
-		return o.Evaluators.EstimateAll(est, g, simRes, cmp, cands, o.ExactEstimates, o.Recorder)
-	}
 	if o.ExactEstimates {
 		return est.EstimateAllExactRec(g, simRes, cmp, cands, o.Recorder)
 	}
@@ -239,10 +228,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	var certBound uint64
 	certBudget := opt.CertBudget
 	if certEnabled {
-		// Remote evaluators cannot carry certification (and the wire
-		// protocol refuses the metric); keep estimation local rather
-		// than letting every batch fail over.
-		opt.Evaluators = nil
 		certBound = uint64(errBound)
 		if certBudget == 0 {
 			certBudget = DefaultCertBudget
@@ -279,7 +264,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 
 	// Work outside every phase — the round tail and the ledger's
 	// technology mapping — is not phase-histogram work, but it is
-	// wall-clock the merged timeline must account for: trace-only spans
+	// wall-clock the trace timeline must account for: trace-only spans
 	// (Tracing-gated, so an untraced run pays nothing) keep
 	// `report -timeline`'s unattributed remainder honest.
 	tracing := rec.Tracing()
@@ -401,6 +386,9 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		gNew, e = g, eG
 		reason = runctl.Uncertified
 	}
+	// lastRound is the last round begun (round0 before the first); the
+	// final mapping's trace span is charged to it.
+	lastRound := round0
 	for round := round0; !startUncertified; round++ {
 		if e > errBound {
 			reason = runctl.Bounded
@@ -419,6 +407,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		rng := rand.New(rand.NewSource(roundSeed(params.Seed, round)))
 		roundStart := time.Now()
 		rec.BeginRound(round)
+		lastRound = round
 		roundSpan := rec.StartPhase(round, obs.PhaseRound)
 		rs := RoundStats{Round: round, NumAnds: g.NumAnds()}
 
@@ -636,7 +625,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	result.Certified = certEnabled
 	result.Runtime = time.Since(start)
 	if led {
-		area := mappedArea(-1, g)
+		area := mappedArea(lastRound, g)
 		rec.EmitFinish(obs.RunFinish{
 			StopReason:  reason.String(),
 			Rounds:      round0 + len(result.Rounds),

@@ -44,13 +44,8 @@ type Manifest struct {
 	Patterns    int     `json:"patterns,omitempty"`
 	Workers     int     `json:"workers,omitempty"`
 	Incremental bool    `json:"incremental,omitempty"`
-	// Evaluators counts the remote evaluator processes the run farmed
-	// candidate estimation to (0 = purely local evaluation).
-	Evaluators int `json:"evaluators,omitempty"`
-	// TraceID names the run across process boundaries: it matches the
-	// recorder's trace ID, the summary's trace_id, and the trace
-	// context propagated to remote evaluators, so a downloaded bundle
-	// can be joined with evaluator-side records.
+	// TraceID names the run: it matches the recorder's trace ID and the
+	// summary's trace_id.
 	TraceID string `json:"trace_id,omitempty"`
 	// Environment.
 	GoVersion  string `json:"go_version"`

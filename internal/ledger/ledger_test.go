@@ -129,10 +129,10 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyBundle is a bundle written before speculative pipelining was
-// removed: its ledger's first round carries the schema-1.1 speculated
-// and spec_hit fields, its manifest speculate and evaluators, and its
-// trace a speculation-lane span.
+// legacyBundle is a bundle written before speculative pipelining and
+// remote evaluation were removed: its ledger's first round carries the
+// schema-1.1 speculated and spec_hit fields, its manifest speculate and
+// evaluators, and its trace a speculation-lane span and an RPC span.
 var legacyBundle = filepath.Join("testdata", "legacy-speculate")
 
 // TestLegacyBundleDecodes: fields the writer no longer emits must not
@@ -160,11 +160,19 @@ func TestLegacyBundleDecodes(t *testing.T) {
 		t.Errorf("Duels = (%d, %d), want (1, 1)", duels, wins)
 	}
 
-	m, err := ReadManifest(filepath.Join(legacyBundle, ManifestFile))
+	path := filepath.Join(legacyBundle, ManifestFile)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Evaluators != 2 || m.TraceID != "0123456789abcdef" || !m.Incremental {
+	if !bytes.Contains(raw, []byte(`"speculate": true`)) || !bytes.Contains(raw, []byte(`"evaluators": 2`)) {
+		t.Fatal("legacy fixture lost its retired manifest fields")
+	}
+	m, err := ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.TraceID != "0123456789abcdef" || !m.Incremental || m.Workers != 2 {
 		t.Errorf("legacy manifest: %+v", m)
 	}
 }

@@ -111,11 +111,9 @@ type Recorder struct {
 	reg     *Registry
 	tracers []*Tracer // fixed after setup; read without locking
 	sinks   []Sink    // ledger sinks; fixed after setup (see events.go)
-	traceID string    // fixed after setup (see SetTraceID)
+	traceID string    // fixed at construction
 
-	curRound     atomic.Int64
-	remoteSpans  atomic.Int64 // remote evaluator telemetry spans merged
-	remoteBusyNS atomic.Int64 // total busy time those spans cover
+	curRound atomic.Int64
 
 	mu     sync.Mutex
 	status Status
@@ -145,12 +143,6 @@ type Recorder struct {
 	certCertified *Counter
 	certRefuted   *Counter
 	certBudget    *Counter
-	dispRemote    *Counter
-	dispFailover  *Counter
-	dispBytesTx   *Counter
-	dispBytesRx   *Counter
-	dispLatency   *Histogram
-	dispInflight  *Gauge
 }
 
 // NewRecorder returns a recorder with the standard AccALS series
@@ -197,18 +189,6 @@ func NewRecorder() *Recorder {
 		"Certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "refuted"))
 	r.certBudget = reg.Counter("accals_cert_total",
 		"Certification outcomes of maximum-error rounds: certified (bound proved), refuted (counterexample found), budget (conflict budget exhausted, round rejected).", L("result", "budget"))
-	r.dispRemote = reg.Counter("accals_dispatch_batches_total",
-		"Candidate batches dispatched to external evaluators, by outcome.", L("result", "remote"))
-	r.dispFailover = reg.Counter("accals_dispatch_batches_total",
-		"Candidate batches dispatched to external evaluators, by outcome.", L("result", "failover"))
-	r.dispBytesTx = reg.Counter("accals_dispatch_bytes_total",
-		"Bytes moved over the evaluator wire protocol, by direction.", L("dir", "tx"))
-	r.dispBytesRx = reg.Counter("accals_dispatch_bytes_total",
-		"Bytes moved over the evaluator wire protocol, by direction.", L("dir", "rx"))
-	r.dispLatency = reg.Histogram("accals_dispatch_rpc_seconds",
-		"Round-trip latency of evaluator RPCs (epoch pushes and batch evaluations).", nil)
-	r.dispInflight = reg.Gauge("accals_dispatch_inflight",
-		"Evaluator batches currently in flight.")
 	r.roundGauge = reg.Gauge("accals_round", "Current synthesis round.")
 	r.errorGauge = reg.Gauge("accals_error", "Measured error of the current circuit.")
 	r.andsGauge = reg.Gauge("accals_and_count", "AND-node count of the current circuit.")
@@ -230,8 +210,8 @@ func NewTraceID() string {
 }
 
 // TraceID returns the run's trace identifier ("" for a nil recorder).
-// Every recorder gets a fresh one at construction; it names the run
-// across process boundaries (bundle manifests, evaluator frames).
+// Every recorder gets a fresh one at construction; it names the run in
+// the bundle manifest and the end-of-run summary.
 func (r *Recorder) TraceID() string {
 	if r == nil {
 		return ""
@@ -239,57 +219,24 @@ func (r *Recorder) TraceID() string {
 	return r.traceID
 }
 
-// SetTraceID overrides the run's trace identifier. Must be called
-// before the run starts (the field is read without locking once
-// spans flow).
-func (r *Recorder) SetTraceID(id string) {
-	if r == nil || id == "" {
-		return
-	}
-	r.traceID = id
-}
-
 // Tracing reports whether the recorder has at least one trace sink
-// attached. Packages gate optional trace-only work (remote telemetry,
-// rpc spans) on this so a metrics-only run pays nothing extra.
+// attached.
 func (r *Recorder) Tracing() bool {
 	return r != nil && len(r.tracers) > 0
 }
 
-// CurrentRound returns the round set by the last BeginRound (0 for a
-// nil recorder).
-func (r *Recorder) CurrentRound() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.curRound.Load())
-}
-
 // EmitEvent fans one trace event out to every attached tracer. Unlike
-// Span.End it does not feed the phase histograms, so events from
-// other processes and overlap lanes (RPC) never skew the
-// per-phase time summary. A Round of -1 is replaced by the current
-// round. No-op without tracers.
+// Span.End it does not feed the phase histograms, so work outside the
+// phase taxonomy (the round tail's ledger-only measurement, the ledger's
+// technology mapping) shows on the timeline without skewing the
+// per-phase time summary. No-op without tracers.
 func (r *Recorder) EmitEvent(ev TraceEvent) {
 	if r == nil || len(r.tracers) == 0 {
 		return
 	}
-	if ev.Round < 0 {
-		ev.Round = int(r.curRound.Load())
-	}
 	for _, t := range r.tracers {
 		t.Emit(ev)
 	}
-}
-
-// CountRemoteSpan tallies one remote evaluator telemetry span of the
-// given duration for the end-of-run summary.
-func (r *Recorder) CountRemoteSpan(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.remoteSpans.Add(1)
-	r.remoteBusyNS.Add(int64(d))
 }
 
 // Registry returns the recorder's metrics registry (nil for a nil
@@ -585,48 +532,4 @@ func (r *Recorder) CountCert(o CertOutcome) {
 	case CertBudget:
 		r.certBudget.Inc()
 	}
-}
-
-// DispatchBatch records one candidate batch handed to an external
-// evaluator: remote means the evaluator returned the batch, failover
-// means a transport error sent the batch back to local evaluation.
-func (r *Recorder) DispatchBatch(remote bool) {
-	if r == nil {
-		return
-	}
-	if remote {
-		r.dispRemote.Inc()
-	} else {
-		r.dispFailover.Inc()
-	}
-}
-
-// DispatchBytes adds wire-protocol traffic in the given direction.
-func (r *Recorder) DispatchBytes(tx, rx int) {
-	if r == nil {
-		return
-	}
-	if tx > 0 {
-		r.dispBytesTx.Add(float64(tx))
-	}
-	if rx > 0 {
-		r.dispBytesRx.Add(float64(rx))
-	}
-}
-
-// DispatchRPC records one evaluator round trip's latency.
-func (r *Recorder) DispatchRPC(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.dispLatency.Observe(d.Seconds())
-}
-
-// DispatchInflight moves the in-flight batch gauge by delta (+1 when a
-// batch is sent, -1 when its response or error arrives).
-func (r *Recorder) DispatchInflight(delta int) {
-	if r == nil {
-		return
-	}
-	r.dispInflight.Add(float64(delta))
 }

@@ -1,7 +1,5 @@
 package obs
 
-import "time"
-
 // PhaseSummary aggregates one phase's spans over a whole run.
 type PhaseSummary struct {
 	// Count is the number of spans recorded for the phase.
@@ -58,23 +56,9 @@ type Summary struct {
 	CertCertified int64 `json:"cert_certified,omitempty"`
 	CertRefuted   int64 `json:"cert_refuted,omitempty"`
 	CertBudget    int64 `json:"cert_budget,omitempty"`
-	// DispatchRemoteBatches counts candidate batches evaluated by
-	// external evaluator processes; DispatchFailovers counts batches a
-	// transport error sent back to local evaluation. DispatchTxBytes
-	// and DispatchRxBytes total the wire traffic.
-	DispatchRemoteBatches int64 `json:"dispatch_remote_batches,omitempty"`
-	DispatchFailovers     int64 `json:"dispatch_failovers,omitempty"`
-	DispatchTxBytes       int64 `json:"dispatch_tx_bytes,omitempty"`
-	DispatchRxBytes       int64 `json:"dispatch_rx_bytes,omitempty"`
-	// TraceID names the run across process boundaries; it matches the
-	// trace_id field of the bundle manifest and the trace context sent
-	// to external evaluators.
+	// TraceID names the run; it matches the trace_id field of the
+	// bundle manifest.
 	TraceID string `json:"trace_id,omitempty"`
-	// RemoteSpans/RemoteBusySeconds tally evaluator-side telemetry
-	// spans merged into the trace (zero when tracing was off or no
-	// evaluator spoke the telemetry protocol version).
-	RemoteSpans       int64   `json:"remote_spans,omitempty"`
-	RemoteBusySeconds float64 `json:"remote_busy_seconds,omitempty"`
 }
 
 // Summary aggregates the recorder's metrics into a Summary. A nil
@@ -84,29 +68,23 @@ func (r *Recorder) Summary() Summary {
 		return Summary{}
 	}
 	s := Summary{
-		Phases:                make(map[string]PhaseSummary, int(numPhases)),
-		Rounds:                int64(r.roundsTotal.Value()),
-		LACsEvaluated:         int64(r.lacsEvaluated.Value()),
-		LACsApplied:           int64(r.lacsApplied.Value()),
-		LACsReverted:          int64(r.lacsReverted.Value()),
-		GuardSingleLAC:        int64(r.guardSingle.Value()),
-		GuardNegativeRevert:   int64(r.guardRevert.Value()),
-		DuelIndpWins:          int64(r.duelIndp.Value()),
-		DuelRandomWins:        int64(r.duelRandom.Value()),
-		SimPatterns:           int64(r.simPatterns.Value()),
-		SATConflicts:          int64(r.satConflicts.Value()),
-		LACCacheHits:          int64(r.cacheHits.Value()),
-		LACCacheMisses:        int64(r.cacheMisses.Value()),
-		CertCertified:         int64(r.certCertified.Value()),
-		CertRefuted:           int64(r.certRefuted.Value()),
-		CertBudget:            int64(r.certBudget.Value()),
-		DispatchRemoteBatches: int64(r.dispRemote.Value()),
-		DispatchFailovers:     int64(r.dispFailover.Value()),
-		DispatchTxBytes:       int64(r.dispBytesTx.Value()),
-		DispatchRxBytes:       int64(r.dispBytesRx.Value()),
-		TraceID:               r.traceID,
-		RemoteSpans:           r.remoteSpans.Load(),
-		RemoteBusySeconds:     time.Duration(r.remoteBusyNS.Load()).Seconds(),
+		Phases:              make(map[string]PhaseSummary, int(numPhases)),
+		Rounds:              int64(r.roundsTotal.Value()),
+		LACsEvaluated:       int64(r.lacsEvaluated.Value()),
+		LACsApplied:         int64(r.lacsApplied.Value()),
+		LACsReverted:        int64(r.lacsReverted.Value()),
+		GuardSingleLAC:      int64(r.guardSingle.Value()),
+		GuardNegativeRevert: int64(r.guardRevert.Value()),
+		DuelIndpWins:        int64(r.duelIndp.Value()),
+		DuelRandomWins:      int64(r.duelRandom.Value()),
+		SimPatterns:         int64(r.simPatterns.Value()),
+		SATConflicts:        int64(r.satConflicts.Value()),
+		LACCacheHits:        int64(r.cacheHits.Value()),
+		LACCacheMisses:      int64(r.cacheMisses.Value()),
+		CertCertified:       int64(r.certCertified.Value()),
+		CertRefuted:         int64(r.certRefuted.Value()),
+		CertBudget:          int64(r.certBudget.Value()),
+		TraceID:             r.traceID,
 	}
 	if n := s.DuelIndpWins + s.DuelRandomWins; n > 0 {
 		s.DuelIndpWinRate = float64(s.DuelIndpWins) / float64(n)

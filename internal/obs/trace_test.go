@@ -15,15 +15,24 @@ func TestJSONLTracerOneEventPerSpan(t *testing.T) {
 	r.StartPhase(0, PhaseSimulate).End()
 	r.StartPhase(0, PhaseApply).End()
 	r.StartPhase(1, PhaseMeasure).End()
+	r.EmitEvent(TraceEvent{Name: "ledger-map", Round: 1, Start: time.Now(), Dur: time.Millisecond})
 	r.Finish("bounded") // closes tracers
 
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3:\n%s", len(lines), sb.String())
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines, want 4:\n%s", len(lines), sb.String())
 	}
-	wantPhases := []string{"simulate", "apply", "measure"}
-	wantRounds := []int{0, 0, 1}
+	wantPhases := []string{"simulate", "apply", "measure", "ledger-map"}
+	wantRounds := []int{0, 0, 1, 1}
 	for i, line := range lines {
+		// Every line carries exactly the four keys readers decode.
+		var keys map[string]any
+		if err := json.Unmarshal([]byte(line), &keys); err != nil {
+			t.Fatalf("line %d not JSON: %v\n%s", i, err, line)
+		}
+		if len(keys) != 4 {
+			t.Errorf("line %d has keys %v, want t_us, dur_us, phase, round", i, keys)
+		}
 		var ev struct {
 			TUS   int64  `json:"t_us"`
 			DurUS int64  `json:"dur_us"`
@@ -59,16 +68,20 @@ func TestChromeTracerValidJSONArray(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &evs); err != nil {
 		t.Fatalf("chrome trace is not a JSON array: %v\n%s", err, sb.String())
 	}
-	// process_name + thread_name metadata for (pid 1, tid 1), then the
-	// two duration events.
+	// process_name + thread_name metadata for the one lane (pid 1,
+	// tid 1), written once, then the two duration events.
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
 	}
-	if evs[0]["name"] != "process_name" || evs[0]["ph"] != "M" {
-		t.Fatalf("first event = %v, want process_name metadata", evs[0])
+	for i, want := range []string{"process_name", "thread_name"} {
+		if evs[i]["name"] != want || evs[i]["ph"] != "M" || evs[i]["pid"] != float64(1) {
+			t.Fatalf("event %d = %v, want %s metadata", i, evs[i], want)
+		}
 	}
-	if evs[1]["name"] != "thread_name" || evs[1]["ph"] != "M" {
-		t.Fatalf("second event = %v, want thread_name metadata", evs[1])
+	for _, ev := range evs[2:] {
+		if ev["pid"] != float64(1) || ev["tid"] != float64(1) {
+			t.Fatalf("span off the lane: %v", ev)
+		}
 	}
 	first := evs[2]
 	if first["name"] != "mis" || first["ph"] != "X" {
@@ -79,112 +92,6 @@ func TestChromeTracerValidJSONArray(t *testing.T) {
 	}
 	if first["dur"].(float64) < 500 {
 		t.Fatalf("dur = %v µs, want >= 500", first["dur"])
-	}
-}
-
-func TestChromeTracerMultiProcessMetadata(t *testing.T) {
-	var sb strings.Builder
-	tr := NewTracer(&sb, TraceChrome)
-	base := time.Now()
-	tr.Emit(TraceEvent{Name: "estimate", Round: 1, Start: base, Dur: time.Millisecond})
-	tr.Emit(TraceEvent{Name: "rpc:eval", Round: 1, TID: TIDDispatchBase, Start: base, Dur: time.Millisecond, NetUS: 42})
-	tr.Emit(TraceEvent{
-		Name: "remote:simulate", Proc: "evaluator 127.0.0.1:9001 (pid 4242)",
-		PID: PIDEvaluatorBase, Round: 1, Start: base, Dur: time.Millisecond,
-	})
-	// Second event on a known lane must not re-emit metadata.
-	tr.Emit(TraceEvent{
-		Name: "remote:estimate", Proc: "evaluator 127.0.0.1:9001 (pid 4242)",
-		PID: PIDEvaluatorBase, Round: 1, Start: base, Dur: time.Millisecond,
-	})
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var evs []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &evs); err != nil {
-		t.Fatalf("chrome trace invalid: %v\n%s", err, sb.String())
-	}
-	type meta struct{ pid, tid float64 }
-	procNames := map[float64]string{}
-	threadNames := map[meta]string{}
-	var durEvents int
-	for _, ev := range evs {
-		args, _ := ev["args"].(map[string]any)
-		switch ev["name"] {
-		case "process_name":
-			procNames[ev["pid"].(float64)], _ = args["name"].(string)
-		case "thread_name":
-			threadNames[meta{ev["pid"].(float64), ev["tid"].(float64)}], _ = args["name"].(string)
-		default:
-			if ev["ph"] == "X" {
-				durEvents++
-			}
-		}
-	}
-	if durEvents != 4 {
-		t.Fatalf("got %d duration events, want 4", durEvents)
-	}
-	if procNames[PIDLocal] != "accals coordinator" {
-		t.Fatalf("local process_name = %q", procNames[PIDLocal])
-	}
-	if got := procNames[PIDEvaluatorBase]; got != "evaluator 127.0.0.1:9001 (pid 4242)" {
-		t.Fatalf("remote process_name = %q", got)
-	}
-	if got := threadNames[meta{PIDLocal, TIDMain}]; got != "main" {
-		t.Fatalf("main thread_name = %q", got)
-	}
-	if got := threadNames[meta{PIDLocal, TIDDispatchBase}]; got != "rpc-0" {
-		t.Fatalf("rpc thread_name = %q", got)
-	}
-	if len(threadNames) != 3 {
-		t.Fatalf("thread_name metadata emitted %d times, want 3 (dedup failed?)", len(threadNames))
-	}
-	// The rpc event carries its network bound in args.
-	for _, ev := range evs {
-		if ev["name"] == "rpc:eval" {
-			args := ev["args"].(map[string]any)
-			if args["net_us"] != float64(42) {
-				t.Fatalf("rpc args = %v", args)
-			}
-		}
-	}
-}
-
-func TestJSONLRemoteEventFields(t *testing.T) {
-	var sb strings.Builder
-	tr := NewTracer(&sb, TraceJSONL)
-	base := time.Now()
-	tr.Emit(TraceEvent{Name: "simulate", Round: 0, Start: base, Dur: time.Millisecond})
-	tr.Emit(TraceEvent{
-		Name: "remote:estimate", Proc: "evaluator :9001 (pid 7)", PID: PIDEvaluatorBase + 1,
-		TID: TIDMain, Round: 3, Start: base, Dur: 2 * time.Millisecond,
-	})
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	// Local main-thread spans keep the original byte shape: no
-	// proc/pid/tid keys at all.
-	if strings.Contains(lines[0], "pid") || strings.Contains(lines[0], "proc") {
-		t.Fatalf("local span leaked multi-process fields: %s", lines[0])
-	}
-	var ev struct {
-		Phase string `json:"phase"`
-		Proc  string `json:"proc"`
-		PID   int    `json:"pid"`
-		TID   int    `json:"tid"`
-		Round int    `json:"round"`
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Phase != "remote:estimate" || ev.Proc != "evaluator :9001 (pid 7)" ||
-		ev.PID != PIDEvaluatorBase+1 || ev.TID != 0 || ev.Round != 3 {
-		t.Fatalf("remote span = %+v", ev)
 	}
 }
 

@@ -150,11 +150,9 @@ func Explicit(nPIs int, vectors [][]bool) *Patterns {
 	return p
 }
 
-// FromWords rebuilds a pattern set from packed 64-pattern words, one
-// row per primary input — the decode half of the distributed-eval wire
-// protocol, which ships PIValue rows verbatim so both sides simulate
-// bit-identical patterns. Rows are copied; tail bits beyond nPatterns
-// are masked off defensively.
+// FromWords builds a pattern set from packed 64-pattern words, one row
+// per primary input, in the layout PIValue returns. Rows are copied;
+// tail bits beyond nPatterns are masked off defensively.
 func FromWords(nPIs, nPatterns int, rows [][]uint64) (*Patterns, error) {
 	if nPIs < 0 || nPatterns < 1 {
 		return nil, fmt.Errorf("simulate: pattern set %d x %d: %w", nPIs, nPatterns, runctl.ErrInterfaceMismatch)

@@ -25,10 +25,10 @@
 // # Run control
 //
 // Long runs are controllable: SynthesizeCtx (and the SEALS/AMOSA
-// variants) accept a context.Context plus Options.Deadline and
-// Options.MaxRuntime, check them once per round, and on interruption
-// return the best circuit found so far with Result.StopReason set to
-// StopCancelled or StopDeadlineExceeded. The Ctx variants also
+// variants) accept a context.Context, whose deadline bounds the run,
+// plus Options.MaxRuntime, check them once per round, and on
+// interruption return the best circuit found so far with
+// Result.StopReason set to StopCancelled or StopDeadlineExceeded. The Ctx variants also
 // validate their inputs up front and convert internal panics into
 // typed errors (ErrTooManyInputs, ErrTooManyOutputs, ErrInvalidBound,
 // ...), so they never panic on bad input. Runs can be checkpointed and

@@ -56,13 +56,12 @@ import (
 	"accals/internal/circuits"
 	"accals/internal/core"
 	"accals/internal/errmetric"
-	"accals/internal/ledger"
 	"accals/internal/mapping"
 	"accals/internal/maxerr"
 	"accals/internal/obs"
 	"accals/internal/opt"
 	"accals/internal/runctl"
-	"accals/internal/seals"
+	"accals/internal/session"
 	"accals/internal/simulate"
 )
 
@@ -164,7 +163,7 @@ func (c *config) validate() error {
 	case c.circuit == "" && c.blifPath == "":
 		return errors.New("no input: use -circuit <name> or -blif <file> (-list shows benchmarks)")
 	}
-	metric, err := parseMetric(c.metricName)
+	metric, err := errmetric.ParseKind(c.metricName)
 	if err != nil {
 		return err
 	}
@@ -248,7 +247,7 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	metric, err := parseMetric(cfg.metricName)
+	metric, err := errmetric.ParseKind(cfg.metricName)
 	if err != nil {
 		return err
 	}
@@ -262,208 +261,82 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		return err
 	}
 
-	ropt := core.Options{
-		NumPatterns: cfg.patterns,
-		PatternSeed: cfg.seed,
-		Params:      core.Params{Seed: cfg.seed, HasSeed: cfg.hasSeed},
-		MaxRuntime:  cfg.maxRuntime,
-		Workers:     cfg.workers,
-		Incremental: cfg.incremental,
-		CertBudget:  cfg.certBudget,
-	}
-	ropt.HasPatternSeed = cfg.hasSeed
-
 	rec, closeObs, err := setupObs(cfg, w)
 	if err != nil {
 		return err
 	}
 	defer closeObs()
-	rec.SetRunInfo(cfg.method, g.Name, cfg.metricName, cfg.bound, g.NumAnds())
-	ropt.Recorder = rec
+	s := &session.Session{Graph: g, Method: cfg.method, Metric: metric, Bound: cfg.bound, Opt: core.Options{
+		NumPatterns:    cfg.patterns,
+		PatternSeed:    cfg.seed,
+		HasPatternSeed: cfg.hasSeed,
+		Params:         core.Params{Seed: cfg.seed, HasSeed: cfg.hasSeed},
+		MaxRuntime:     cfg.maxRuntime,
+		Workers:        cfg.workers,
+		Incremental:    cfg.incremental,
+		CertBudget:     cfg.certBudget,
+		Recorder:       rec,
+	}}
+	defer s.Close(nil)
 
-	var ckpt *checkpoint.Writer
+	var ckpt *session.Checkpointer
 	if cfg.checkpointDir != "" {
-		ckpt, err = checkpoint.NewWriter(cfg.checkpointDir, cfg.checkpointEvery)
+		cw, err := checkpoint.NewWriter(cfg.checkpointDir, cfg.checkpointEvery)
 		if err != nil {
 			return err
 		}
+		ckpt = s.Checkpoint(cw, func(snap *checkpoint.Snapshot) error {
+			err := cw.Save(snap)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "accals: checkpoint round %d: %v\n", snap.Round, err)
+			}
+			return err
+		}, nil)
 	}
-	var snap *checkpoint.Snapshot
 	if cfg.resume {
-		snap, err = prepareResume(cfg, g, &ropt)
+		snap, err := s.Resume(cfg.checkpointDir)
 		if err != nil {
 			return err
 		}
-		if reg := rec.Registry(); reg != nil && snap.Metrics != nil {
-			reg.RestoreCounters(snap.Metrics)
+		if cfg.hasSeed && snap.Seed != cfg.seed {
+			return fmt.Errorf("snapshot in %s was created with -seed %d, got -seed %d; matching seeds are required for an exact resume",
+				cfg.checkpointDir, snap.Seed, cfg.seed)
 		}
 		fmt.Fprintf(w, "resuming:  round %d, error %.6f (from %s)\n",
-			ropt.Start.Round, snap.Error, cfg.checkpointDir)
+			snap.Round+1, snap.Error, cfg.checkpointDir)
 	}
-
-	// The run bundle is opened after the resume snapshot is loaded: a
-	// resumed run appends to the existing ledger, first truncating it to
-	// the byte offset the snapshot recorded so rounds the resume will
-	// re-execute do not appear twice. It must be attached before the run
-	// starts (AddSink is setup-time only).
-	var bundle *ledger.Bundle
-	bundleDone := false
 	if cfg.bundleDir != "" {
-		if cfg.resume {
-			trunc := int64(-1)
-			if snap != nil && snap.LedgerBytes > 0 {
-				trunc = snap.LedgerBytes
-			}
-			bundle, err = ledger.Resume(cfg.bundleDir, trunc)
-		} else {
-			bundle, err = ledger.Create(cfg.bundleDir)
-		}
-		if err != nil {
+		if err := s.OpenBundle(cfg.bundleDir, os.Args, cfg.bundleSlowRound); err != nil {
 			return err
 		}
-		defer func() {
-			if !bundleDone {
-				_ = bundle.Close()
-			}
-		}()
-		rec.AddSink(bundle.Writer())
-		bundle.SetSlowRoundThreshold(cfg.bundleSlowRound)
-		// The bundle carries its own phase trace unless the user already
-		// routes one elsewhere with -trace.
-		if cfg.tracePath == "" {
-			tf, err := os.Create(bundle.Path(ledger.TraceFile))
-			if err != nil {
-				return err
-			}
-			bt := obs.NewTracer(tf, obs.TraceJSONL)
-			rec.AddTracer(bt)
-			prev := closeObs
-			closeObs = func() error {
-				terr := bt.Close()
-				if cerr := tf.Close(); cerr != nil && terr == nil {
-					terr = cerr
-				}
-				if perr := prev(); perr != nil {
-					return perr
-				}
-				return terr
-			}
-		}
-		m := ledger.Manifest{
-			CreatedAt:   time.Now(),
-			Command:     os.Args,
-			Circuit:     g.Name,
-			Method:      cfg.method,
-			Metric:      cfg.metricName,
-			Bound:       cfg.bound,
-			Seed:        ropt.Params.Seed,
-			Patterns:    cfg.patterns,
-			Workers:     cfg.workers,
-			Incremental: cfg.incremental,
-			TraceID:     rec.TraceID(),
-			Resumed:     cfg.resume,
-		}
-		m.FillEnvironment()
-		if err := bundle.WriteManifest(m); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "bundle:    %s\n", bundle.Dir())
+		fmt.Fprintf(w, "bundle:    %s\n", cfg.bundleDir)
 	}
-
 	if rec.Tracing() {
 		fmt.Fprintf(w, "trace id:  %s\n", rec.TraceID())
 	}
 
-	// lastAccepted holds a ready-to-write snapshot of the newest
-	// accepted round; lastSaved is the newest round already on disk.
-	// Together they let an interrupted run persist its final accepted
-	// round even when the cadence would have skipped it.
-	var lastAccepted *checkpoint.Snapshot
-	lastSaved := -1
-	if ropt.Start != nil {
-		lastSaved = ropt.Start.Round - 1
-	}
-	lastProgress := time.Now()
-	progress := func(rs core.RoundStats) {
-		if bundle != nil {
-			bundle.ObserveRound(rs.Round, rs.RoundDuration)
-		}
-		if cfg.verbose {
-			kind := "multi "
-			if !rs.MultiRound {
-				kind = "single"
+	var onRound func(core.RoundStats)
+	if cfg.verbose || cfg.progressEvery > 0 {
+		lastProgress := time.Now()
+		onRound = func(rs core.RoundStats) {
+			if cfg.verbose {
+				kind := "multi "
+				if !rs.MultiRound {
+					kind = "single"
+				}
+				fmt.Fprintf(w, "round %4d [%s] lacs=%3d err=%.6f ands=%d\n",
+					rs.Round, kind, rs.AppliedLACs, rs.Error, rs.NumAnds)
 			}
-			fmt.Fprintf(w, "round %4d [%s] lacs=%3d err=%.6f ands=%d\n",
-				rs.Round, kind, rs.AppliedLACs, rs.Error, rs.NumAnds)
-		}
-		if cfg.progressEvery > 0 && time.Since(lastProgress) >= cfg.progressEvery {
-			lastProgress = time.Now()
-			fmt.Fprintf(os.Stderr, "accals: round %d err=%.6f ands=%d lacs=%d noprog=%d\n",
-				rs.Round, rs.Error, rs.NumAnds, rs.AppliedLACs, rs.NoProgress)
-		}
-		// A round whose measured error exceeds the bound is rejected at
-		// the top of the next round and never joins the accepted
-		// trajectory — snapshotting it would make a resume adopt a
-		// circuit that violates the bound. The same goes for a round
-		// whose certification failed (maxed metric): its sampled
-		// error passed but the proof did not, so a resume must never
-		// adopt it. Only accepted rounds are checkpointed, so the
-		// latest snapshot always restarts the run on the exact
-		// trajectory it was interrupted on. The snapshot is built for
-		// every accepted round (not just cadence rounds) so an
-		// interrupt can persist the last accepted round off-cadence.
-		if ckpt != nil && rs.Graph != nil && rs.Error <= cfg.bound &&
-			(!rs.CertRan || rs.Certified) {
-			s := &checkpoint.Snapshot{
-				Round:   rs.Round,
-				Error:   rs.Error,
-				Seed:    ropt.Params.Seed,
-				HasSeed: ropt.Params.HasSeed,
-				Metric:  cfg.metricName,
-				Bound:   cfg.bound,
-				Method:  cfg.method,
+			if cfg.progressEvery > 0 && time.Since(lastProgress) >= cfg.progressEvery {
+				lastProgress = time.Now()
+				fmt.Fprintf(os.Stderr, "accals: round %d err=%.6f ands=%d lacs=%d noprog=%d\n",
+					rs.Round, rs.Error, rs.NumAnds, rs.AppliedLACs, rs.NoProgress)
 			}
-			if reg := rec.Registry(); reg != nil {
-				s.Metrics = reg.CounterSnapshot()
-			}
-			if bundle != nil {
-				s.LedgerBytes = bundle.LedgerSize()
-			}
-			if err := s.SetGraph(rs.Graph); err != nil {
-				fmt.Fprintf(os.Stderr, "accals: checkpoint round %d: %v\n", rs.Round, err)
-				return
-			}
-			lastAccepted = s
-			if !ckpt.Due(rs.Round) {
-				return
-			}
-			if err := ckpt.Save(s); err != nil {
-				fmt.Fprintf(os.Stderr, "accals: checkpoint round %d: %v\n", rs.Round, err)
-				return
-			}
-			lastSaved = rs.Round
 		}
 	}
-	ropt.Progress = progress
-
-	var res *core.Result
-	switch cfg.method {
-	case "accals":
-		res = core.RunCtx(ctx, g, metric, cfg.bound, ropt)
-	case "seals":
-		res = seals.RunCtx(ctx, g, metric, cfg.bound, ropt)
-	}
-
-	// Checkpoint-on-signal: an interrupted run (SIGINT/SIGTERM or
-	// -max-runtime) force-saves its last accepted round even between
-	// cadence points, so resuming loses no completed work.
-	if ckpt != nil && res.StopReason.Interrupted() &&
-		lastAccepted != nil && lastAccepted.Round > lastSaved {
-		if err := ckpt.Save(lastAccepted); err != nil {
-			fmt.Fprintf(os.Stderr, "accals: final checkpoint round %d: %v\n", lastAccepted.Round, err)
-		} else {
-			fmt.Fprintf(w, "checkpoint: final snapshot at round %d (interrupted off-cadence)\n", lastAccepted.Round)
-		}
+	res := s.Run(ctx, onRound)
+	if round, ok := ckpt.Final(); ok {
+		fmt.Fprintf(w, "checkpoint: final snapshot at round %d (interrupted off-cadence)\n", round)
 	}
 
 	oa, od := mapping.AreaDelay(g)
@@ -494,37 +367,19 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 		fmt.Fprintf(w, "note:      run interrupted; outputs hold the best circuit found so far\n")
 	}
 
-	if cfg.summaryPath != "" || bundle != nil {
-		sum := ledger.RunSummary{
-			Circuit:        g.Name,
-			Method:         cfg.method,
-			Metric:         cfg.metricName,
-			Bound:          cfg.bound,
-			Error:          res.Error,
-			InitialAnds:    g.NumAnds(),
-			FinalAnds:      res.Final.NumAnds(),
-			Rounds:         len(res.Rounds),
-			LACsApplied:    res.LACsApplied,
-			RuntimeSeconds: res.Runtime.Seconds(),
-			StopReason:     res.StopReason.String(),
-			IndpWinRate:    res.IndpRatio(),
-			Obs:            rec.Summary(),
+	if cfg.summaryPath != "" {
+		sum := s.Summary(res)
+		err := writeFile(w, cfg.summaryPath, func(f *os.File) error {
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", "  ")
+			return enc.Encode(sum)
+		})
+		if err != nil {
+			return err
 		}
-		if cfg.summaryPath != "" {
-			err := writeFile(w, cfg.summaryPath, func(f *os.File) error {
-				enc := json.NewEncoder(f)
-				enc.SetIndent("", "  ")
-				return enc.Encode(sum)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if bundle != nil {
-			if err := bundle.WriteSummary(sum); err != nil {
-				return err
-			}
-		}
+	}
+	if err := s.Close(res); err != nil {
+		return err
 	}
 
 	if cfg.outPath != "" {
@@ -543,18 +398,9 @@ func run(ctx context.Context, cfg *config, w io.Writer) error {
 			return err
 		}
 	}
-	// Surface trace- and ledger-sink write failures (ENOSPC, closed
-	// pipe) instead of silently shipping a truncated trace or ledger.
-	if err := closeObs(); err != nil {
-		return err
-	}
-	if bundle != nil {
-		bundleDone = true
-		if err := bundle.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Surface trace-sink write failures (ENOSPC, closed pipe) instead
+	// of silently shipping a truncated trace.
+	return closeObs()
 }
 
 // setupObs wires the observability flags into a recorder with trace
@@ -636,39 +482,6 @@ func setupObs(cfg *config, w io.Writer) (*obs.Recorder, func() error, error) {
 	return rec, closeAll, nil
 }
 
-// prepareResume loads the latest snapshot, checks it belongs to this
-// run configuration, and installs it as the warm start.
-func prepareResume(cfg *config, g *aig.Graph, ropt *core.Options) (*checkpoint.Snapshot, error) {
-	snap, err := checkpoint.Latest(cfg.checkpointDir)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Metric != cfg.metricName || snap.Bound != cfg.bound || snap.Method != cfg.method {
-		return nil, fmt.Errorf("snapshot in %s is from a different run (metric %s, bound %g, method %s); rerun with matching flags or a fresh -checkpoint dir",
-			cfg.checkpointDir, snap.Metric, snap.Bound, snap.Method)
-	}
-	if cfg.hasSeed && snap.Seed != cfg.seed {
-		return nil, fmt.Errorf("snapshot in %s was created with -seed %d, got -seed %d; matching seeds are required for an exact resume",
-			cfg.checkpointDir, snap.Seed, cfg.seed)
-	}
-	sg, err := snap.Graph()
-	if err != nil {
-		return nil, err
-	}
-	if sg.NumPIs() != g.NumPIs() || sg.NumPOs() != g.NumPOs() {
-		return nil, fmt.Errorf("snapshot circuit has %d PIs / %d POs but the input has %d / %d; wrong -checkpoint dir for this circuit?",
-			sg.NumPIs(), sg.NumPOs(), g.NumPIs(), g.NumPOs())
-	}
-	// Adopt the snapshot's seed so an unseeded resume continues the
-	// original trajectory.
-	ropt.Params.Seed = snap.Seed
-	ropt.Params.HasSeed = snap.HasSeed
-	ropt.PatternSeed = snap.Seed
-	ropt.HasPatternSeed = snap.HasSeed
-	ropt.Start = &core.StartState{Graph: sg, Round: snap.Round + 1}
-	return snap, nil
-}
-
 // writeFile creates path and runs the writer.
 func writeFile(w io.Writer, path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
@@ -697,22 +510,6 @@ func loadCircuit(name, path string) (*aig.Graph, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return g, err
-}
-
-func parseMetric(s string) (errmetric.Kind, error) {
-	switch strings.ToLower(s) {
-	case "er":
-		return errmetric.ER, nil
-	case "nmed":
-		return errmetric.NMED, nil
-	case "mred":
-		return errmetric.MRED, nil
-	case "mhd":
-		return errmetric.MHD, nil
-	case "maxed":
-		return errmetric.MaxED, nil
-	}
-	return 0, fmt.Errorf("unknown metric %q (want er, nmed, mred, mhd or maxed)", s)
 }
 
 func pct(a, b int) float64 {

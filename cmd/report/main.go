@@ -286,11 +286,15 @@ func analyse(arg, csvPath string, timeline bool, w io.Writer) error {
 	}
 
 	printPhases(arg, w)
+	if !timeline && csvPath == "" {
+		return nil
+	}
 
 	// The trace timeline is optional decoration for the CSV export and
 	// a hard requirement for -timeline: a bundle without trace.jsonl
 	// (tracing was off, or the argument is a bare ledger file) yields
-	// tl == nil.
+	// tl == nil. Only these two read the trace, so a damaged trace
+	// cannot fail a plain analysis.
 	tl, err := loadTimeline(arg)
 	if err != nil {
 		return err

@@ -119,6 +119,34 @@ func TestReportTimelineWithoutTrace(t *testing.T) {
 	}
 }
 
+// TestReportMalformedTraceOnlyFailsTimeline: a malformed line in the
+// middle of trace.jsonl fails -timeline, naming the line, while the
+// plain analysis, which does not read the trace, still succeeds.
+func TestReportMalformedTraceOnlyFailsTimeline(t *testing.T) {
+	dir := t.TempDir()
+	writeBundle(t, dir)
+	lines := append([]string(nil), syntheticTrace...)
+	lines[3] = `{"t_us":garbage`
+	writeTrace(t, dir, lines)
+
+	var out, errb bytes.Buffer
+	if code := run([]string{dir}, &out, &errb); code != 0 {
+		t.Fatalf("plain report exit %d, stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "round  kind") || !strings.Contains(out.String(), "finish:       bounded") {
+		t.Errorf("plain report lacks the round table:\n%s", out.String())
+	}
+
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-timeline", dir}, &out, &errb); code == 0 {
+		t.Fatalf("-timeline accepted a malformed trace:\n%s", out.String())
+	}
+	if !strings.Contains(errb.String(), "line 4") {
+		t.Errorf("-timeline error does not name line 4: %s", errb.String())
+	}
+}
+
 // TestCSVTimelineColumns checks the tl_local_us CSV column is populated
 // from the trace and stays empty — not zero-faked — without one.
 func TestCSVTimelineColumns(t *testing.T) {

@@ -52,12 +52,10 @@ type Options struct {
 	Cooling     float64
 	// ArchiveLimit soft-bounds the archive size. Defaults to 50.
 	ArchiveLimit int
-	// Deadline, when non-zero, stops the annealer at that wall-clock
-	// time; the archive collected so far is returned with StopReason
-	// DeadlineExceeded. Checked once per iteration.
-	Deadline time.Time
 	// MaxRuntime, when positive, bounds wall-clock time from the run's
-	// start, like Deadline.
+	// start; the archive collected so far is returned with StopReason
+	// DeadlineExceeded, as it is at a deadline on the run's context.
+	// Checked once per iteration.
 	MaxRuntime time.Duration
 	// Progress, when non-nil, is invoked once per annealing iteration
 	// with a self-contained snapshot of the iteration's outcome. The
@@ -146,13 +144,13 @@ func Run(orig *aig.Graph, metric errmetric.Kind, opt Options) *Result {
 	return RunCtx(context.Background(), orig, metric, opt)
 }
 
-// RunCtx is Run with a context: cancelling ctx (or reaching
-// Options.Deadline/MaxRuntime) stops the annealer at the next
+// RunCtx is Run with a context: cancelling ctx (or reaching its
+// deadline or Options.MaxRuntime) stops the annealer at the next
 // iteration boundary, returning the archive collected so far.
 func RunCtx(ctx context.Context, orig *aig.Graph, metric errmetric.Kind, opt Options) *Result {
 	start := time.Now()
 	opt = opt.withDefaults()
-	ctl := runctl.NewController(ctx, opt.Deadline, opt.MaxRuntime, start)
+	ctl := runctl.NewController(ctx, opt.MaxRuntime, start)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	rec := opt.Recorder
 

@@ -11,7 +11,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"accals/internal/aig"
@@ -332,15 +331,4 @@ func sanitize(s string) string {
 // ReadString parses a BLIF model from a string (test convenience).
 func ReadString(s string) (*aig.Graph, error) {
 	return Read(strings.NewReader(s))
-}
-
-// SortedSignalNames returns the PI names of g in sorted order (used by
-// tools that need a stable interface listing).
-func SortedSignalNames(g *aig.Graph) []string {
-	out := make([]string, g.NumPIs())
-	for i := range out {
-		out[i] = g.PIName(i)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -70,13 +70,10 @@ type Options struct {
 	// snapshot served by the introspection server. A nil recorder is
 	// a no-op and costs one nil check per instrumentation point.
 	Recorder *obs.Recorder
-	// Deadline, when non-zero, stops the run at that wall-clock time,
-	// returning the best circuit so far with StopReason
-	// DeadlineExceeded. Checked once per round.
-	Deadline time.Time
 	// MaxRuntime, when positive, bounds the run's wall-clock time from
-	// its start; like Deadline it returns the best-so-far circuit with
-	// StopReason DeadlineExceeded.
+	// its start, returning the best circuit so far with StopReason
+	// DeadlineExceeded; a deadline on the run's context does the same.
+	// Checked once per round.
 	MaxRuntime time.Duration
 	// Start, when non-nil, warm-starts the run from a checkpointed
 	// state instead of a fresh copy of the original circuit.
@@ -201,7 +198,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	}
 	params := opt.Params.fillDefaults(orig.NumAnds())
 	genCfg := opt.GenCfg
-	ctl := runctl.NewController(ctx, opt.Deadline, opt.MaxRuntime, start)
+	ctl := runctl.NewController(ctx, opt.MaxRuntime, start)
 
 	gNew := orig.Clone()
 	e := 0.0

@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"accals/internal/aig"
 	"accals/internal/runctl"
@@ -69,6 +70,24 @@ func (k Kind) String() string {
 		return "MaxED"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// ParseKind maps a metric name (er, nmed, mred, mhd or maxed, in any
+// case) onto its Kind.
+func ParseKind(name string) (Kind, error) {
+	switch strings.ToLower(name) {
+	case "er":
+		return ER, nil
+	case "nmed":
+		return NMED, nil
+	case "mred":
+		return MRED, nil
+	case "mhd":
+		return MHD, nil
+	case "maxed":
+		return MaxED, nil
+	}
+	return 0, fmt.Errorf("unknown metric %q (want er, nmed, mred, mhd or maxed)", name)
 }
 
 // IsWordLevel reports whether the metric interprets the outputs as a

@@ -2,6 +2,7 @@ package errmetric
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"accals/internal/aig"
@@ -15,6 +16,21 @@ func TestKindString(t *testing.T) {
 	}
 	if ER.IsWordLevel() || !NMED.IsWordLevel() || !MRED.IsWordLevel() {
 		t.Fatal("IsWordLevel wrong")
+	}
+}
+
+// TestParseKind: every kind parses back from its lower-cased String,
+// which is the name snapshots, manifests and summaries record.
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{ER, NMED, MRED, MHD, MaxED} {
+		for _, name := range []string{strings.ToLower(k.String()), k.String()} {
+			if got, err := ParseKind(name); err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	if _, err := ParseKind("wape"); err == nil || !strings.Contains(err.Error(), "unknown metric") {
+		t.Errorf("ParseKind(wape) = %v, want an unknown-metric error", err)
 	}
 }
 

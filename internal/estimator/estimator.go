@@ -759,28 +759,19 @@ func (p *propagator) propagateToFanin(outMask simulate.Vec, to, sibling aig.Lit)
 	}
 }
 
-// EstimateAllExact fills DeltaE for every candidate with its exact
+// EstimateAllExactRec fills DeltaE for every candidate with its exact
 // (pattern-set) error increase, measured by resimulating what the
-// candidate changes. It exists for validation and for the estimator
+// candidate changes, under the estimate-phase span (rec may be nil).
+// It serves Options.ExactEstimates, validation and the estimator
 // ablation study. A synthesis with exact estimates takes about 7 times
-// as long as with EstimateAll on mtp8 under NMED and 10 times on wal8
-// under MaxED (8192 patterns, one worker).
-func EstimateAllExact(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC) float64 {
-	return EstimateAllExactRec(g, res, cmp, lacs, nil)
-}
-
-// EstimateAllExactRec is EstimateAllExact with instrumentation under
-// the estimate-phase span. rec may be nil.
-func EstimateAllExactRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC, rec *obs.Recorder) float64 {
-	return New(1).EstimateAllExactRec(g, res, cmp, lacs, rec)
-}
-
-// EstimateAllExactRec is the exact mode sharded across candidates:
-// each shard measures its candidates one at a time with its own
-// resimulator (see MeasureSets), from one scoring state of the base
-// shared read-only, so results are identical at any worker count and
-// every ΔE is bit-identical to cmp.Error(lac.Apply(g, {l})) minus the
-// base error.
+// as long as with EstimateAllRec on mtp8 under NMED and 10 times on
+// wal8 under MaxED (8192 patterns, one worker).
+//
+// The exact mode is sharded across candidates: each shard measures its
+// candidates one at a time with its own resimulator (see MeasureSets),
+// from one scoring state of the base shared read-only, so results are
+// identical at any worker count and every ΔE is bit-identical to
+// cmp.Error(lac.Apply(g, {l})) minus the base error.
 func (e *Estimator) EstimateAllExactRec(g *aig.Graph, res *simulate.Result, cmp *errmetric.Comparator, lacs []*lac.LAC, rec *obs.Recorder) float64 {
 	sp := rec.StartSpan(obs.PhaseEstimate)
 	defer sp.End()

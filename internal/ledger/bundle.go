@@ -150,9 +150,6 @@ func open(dir string, appendTo bool) (*Bundle, error) {
 	return b, nil
 }
 
-// Dir returns the bundle directory.
-func (b *Bundle) Dir() string { return b.dir }
-
 // Writer returns the ledger sink to attach to the run's recorder.
 func (b *Bundle) Writer() *Writer { return b.writer }
 

@@ -31,7 +31,7 @@ const balanceCheckStride = 1 << 12
 // graphs the pass checks ctx every few thousand nodes and returns
 // (nil, ctx.Err()) when cancelled or past the deadline.
 func BalanceCtx(ctx context.Context, g *aig.Graph) (*aig.Graph, error) {
-	ctl := runctl.NewController(ctx, time.Time{}, 0, time.Time{})
+	ctl := runctl.NewController(ctx, 0, time.Time{})
 	ng := aig.New(g.Name)
 	refs := g.RefCounts()
 	copyLit := make([]aig.Lit, g.NumNodes())

@@ -78,29 +78,25 @@ func (r StopReason) Interrupted() bool {
 	return r == Cancelled || r == DeadlineExceeded
 }
 
-// Controller folds a context, an absolute deadline and a relative
-// wall-clock budget into one cheap per-round stop check. The zero
-// value never stops.
+// Controller folds a context and a relative wall-clock budget into
+// one cheap per-round stop check. The zero value never stops.
 type Controller struct {
 	ctx      context.Context
 	deadline time.Time
 }
 
 // NewController builds a controller. ctx may be nil (treated as
-// context.Background()). deadline, when non-zero, is an absolute stop
-// time; maxRuntime, when positive, is a budget counted from start.
-// The context's own deadline, if any, is folded in as well, so a
-// context.WithTimeout parent stops the run with DeadlineExceeded
-// rather than Cancelled.
-func NewController(ctx context.Context, deadline time.Time, maxRuntime time.Duration, start time.Time) Controller {
+// context.Background()). maxRuntime, when positive, is a budget
+// counted from start. The context's own deadline, if any, is folded
+// in as well, so a context.WithDeadline or context.WithTimeout parent
+// stops the run with DeadlineExceeded rather than Cancelled.
+func NewController(ctx context.Context, maxRuntime time.Duration, start time.Time) Controller {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	d := deadline
+	var d time.Time
 	if maxRuntime > 0 {
-		if md := start.Add(maxRuntime); d.IsZero() || md.Before(d) {
-			d = md
-		}
+		d = start.Add(maxRuntime)
 	}
 	if cd, ok := ctx.Deadline(); ok && (d.IsZero() || cd.Before(d)) {
 		d = cd

@@ -39,7 +39,7 @@ func TestControllerZeroValueNeverStops(t *testing.T) {
 
 func TestControllerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	c := NewController(ctx, time.Time{}, 0, time.Now())
+	c := NewController(ctx, 0, time.Now())
 	if _, stop := c.Stop(); stop {
 		t.Fatal("stopped before cancel")
 	}
@@ -57,7 +57,7 @@ func TestControllerContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	c := NewController(ctx, time.Time{}, 0, time.Now())
+	c := NewController(ctx, 0, time.Now())
 	r, stop := c.Stop()
 	if !stop || r != DeadlineExceeded {
 		t.Fatalf("got (%v, %v), want (DeadlineExceeded, true)", r, stop)
@@ -66,7 +66,7 @@ func TestControllerContextDeadline(t *testing.T) {
 
 func TestControllerMaxRuntime(t *testing.T) {
 	start := time.Now().Add(-time.Second)
-	c := NewController(context.Background(), time.Time{}, time.Millisecond, start)
+	c := NewController(context.Background(), time.Millisecond, start)
 	r, stop := c.Stop()
 	if !stop || r != DeadlineExceeded {
 		t.Fatalf("got (%v, %v), want (DeadlineExceeded, true)", r, stop)
@@ -76,12 +76,15 @@ func TestControllerMaxRuntime(t *testing.T) {
 	}
 }
 
+// TestControllerExplicitDeadline: the budget's end is the controller's
+// explicit deadline; one already past stops the run, one in the future
+// does not.
 func TestControllerExplicitDeadline(t *testing.T) {
-	c := NewController(context.Background(), time.Now().Add(-time.Second), 0, time.Now())
+	c := NewController(context.Background(), time.Second, time.Now().Add(-2*time.Second))
 	if r, stop := c.Stop(); !stop || r != DeadlineExceeded {
 		t.Fatalf("got (%v, %v)", r, stop)
 	}
-	c = NewController(context.Background(), time.Now().Add(time.Hour), 0, time.Now())
+	c = NewController(context.Background(), time.Hour, time.Now())
 	if _, stop := c.Stop(); stop {
 		t.Fatal("future deadline stopped immediately")
 	}

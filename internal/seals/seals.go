@@ -38,8 +38,8 @@ func Run(orig *aig.Graph, metric errmetric.Kind, errBound float64, opt core.Opti
 	return RunCtx(context.Background(), orig, metric, errBound, opt)
 }
 
-// RunCtx is Run with a context: cancelling ctx (or reaching
-// Options.Deadline/MaxRuntime) stops the run at the next round
+// RunCtx is Run with a context: cancelling ctx (or reaching its
+// deadline or Options.MaxRuntime) stops the run at the next round
 // boundary, returning the best circuit so far with StopReason
 // Cancelled or DeadlineExceeded.
 func RunCtx(ctx context.Context, orig *aig.Graph, metric errmetric.Kind, errBound float64, opt core.Options) *core.Result {
@@ -64,7 +64,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	if maxRounds == 0 {
 		maxRounds = 1 << 20
 	}
-	ctl := runctl.NewController(ctx, opt.Deadline, opt.MaxRuntime, start)
+	ctl := runctl.NewController(ctx, opt.MaxRuntime, start)
 	rec := opt.Recorder
 	patCount := cmp.Patterns().NumPatterns()
 	// The flow shares the parallel evaluation engine with core:

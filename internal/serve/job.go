@@ -141,7 +141,7 @@ func (s *JobSpec) Validate() error {
 	if m := s.method(); m != "accals" && m != "seals" {
 		return fail("unknown method %q (want accals or seals)", m)
 	}
-	metric, err := parseMetric(s.Metric)
+	metric, err := errmetric.ParseKind(s.Metric)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -185,23 +185,6 @@ func (s *JobSpec) graph() (*aig.Graph, error) {
 		return circuits.ByName(s.Circuit)
 	}
 	return blif.Read(strings.NewReader(s.BLIF))
-}
-
-// parseMetric maps a metric name onto its errmetric kind.
-func parseMetric(name string) (errmetric.Kind, error) {
-	switch strings.ToLower(name) {
-	case "er":
-		return errmetric.ER, nil
-	case "nmed":
-		return errmetric.NMED, nil
-	case "mred":
-		return errmetric.MRED, nil
-	case "mhd":
-		return errmetric.MHD, nil
-	case "maxed":
-		return errmetric.MaxED, nil
-	}
-	return 0, fmt.Errorf("unknown metric %q (want er, nmed, mred, mhd or maxed)", name)
 }
 
 // Job is a point-in-time public snapshot of one job. Manager methods

@@ -15,10 +15,9 @@ import (
 	"accals/internal/checkpoint"
 	"accals/internal/core"
 	"accals/internal/errmetric"
-	"accals/internal/ledger"
 	"accals/internal/obs"
 	"accals/internal/runctl"
-	"accals/internal/seals"
+	"accals/internal/session"
 )
 
 // jobSink streams a run's obs ledger events into the job's
@@ -229,7 +228,7 @@ func buildOptions(spec JobSpec, defaultWorkers int, defaultDeadline time.Duratio
 	if err != nil {
 		return nil, 0, core.Options{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	metric, err := parseMetric(spec.Metric)
+	metric, err := errmetric.ParseKind(spec.Metric)
 	if err != nil {
 		return nil, 0, core.Options{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
@@ -256,11 +255,10 @@ func buildOptions(spec JobSpec, defaultWorkers int, defaultDeadline time.Duratio
 }
 
 // execute runs one job segment: build options, resume from the
-// latest valid snapshot if one exists, run the flow with progress
-// checkpointing, and take a final snapshot when interrupted. The
-// deferred recover converts any panic — the flows', the fault
-// injector's, or this package's own — into ErrJobPanicked, so the
-// job fails alone.
+// latest valid snapshot if one exists, open the job's bundle, and run
+// the flow with checkpointing. The deferred recover converts any
+// panic — the flows', the fault injector's, or this package's own —
+// into ErrJobPanicked, so the job fails alone.
 func (m *Manager) execute(j *job) (res *core.Result, runtime time.Duration, err error) {
 	start := time.Now()
 	defer func() {
@@ -282,83 +280,40 @@ func (m *Manager) execute(j *job) (res *core.Result, runtime time.Duration, err 
 	j.mu.Lock()
 	j.info.NumAnds = g.NumAnds()
 	j.mu.Unlock()
+	ropt.Recorder = obs.NewRecorder()
+	ropt.Recorder.AddSink(&jobSink{j: j})
+	s := &session.Session{Graph: g, Method: spec.method(), Metric: metric, Bound: spec.Bound, Opt: ropt}
 
 	// Resume from the latest valid snapshot, if any. Corrupt
 	// snapshots were already skipped by checkpoint.Latest; a job dir
 	// with nothing usable starts from scratch (never an error — the
 	// accepted spec is the durable source of truth).
 	ckptDir := m.store.ckptDir(id)
-	var resumeSnap *checkpoint.Snapshot
-	if snap, lerr := checkpoint.Latest(ckptDir); lerr == nil {
-		sg, gerr := snap.Graph()
-		if gerr == nil && sg.NumPIs() == g.NumPIs() && sg.NumPOs() == g.NumPOs() {
-			ropt.Start = &core.StartState{Graph: sg, Round: snap.Round + 1}
-			ropt.Params.Seed = snap.Seed
-			ropt.Params.HasSeed = snap.HasSeed
-			ropt.PatternSeed = snap.Seed
-			ropt.HasPatternSeed = snap.HasSeed
-			resumeSnap = snap
-			j.mu.Lock()
-			j.info.Resumed = true
-			j.info.Round = snap.Round
-			j.info.Error = snap.Error
-			j.mu.Unlock()
-			m.cfg.Log.Info("resuming from checkpoint", "job", id, "tenant", spec.Tenant, "round", snap.Round)
+	if snap, err := s.Resume(ckptDir); err == nil {
+		j.mu.Lock()
+		j.info.Resumed = true
+		j.info.Round = snap.Round
+		j.info.Error = snap.Error
+		j.mu.Unlock()
+		m.cfg.Log.Info("resuming from checkpoint", "job", id, "tenant", spec.Tenant, "round", snap.Round)
+	}
+
+	// Per-job run bundle, rooted in the job's state directory so
+	// GET /v1/jobs/{id}/bundle can serve it after the client is gone.
+	// Bundle failures are logged and dropped: bundling is
+	// observability, the journal is correctness.
+	if m.cfg.Bundles {
+		command := []string{"accalsd", "job=" + id, "tenant=" + spec.Tenant}
+		if berr := s.OpenBundle(m.store.bundleDir(id), command, m.cfg.BundleSlowRound); berr != nil {
+			m.cfg.Log.Warn("bundle open failed; running without one", "job", id, "err", berr)
 		}
 	}
-
-	rec := obs.NewRecorder()
-	rec.SetRunInfo(spec.method(), g.Name, spec.Metric, spec.Bound, g.NumAnds())
-	rec.AddSink(&jobSink{j: j})
-	if resumeSnap != nil && resumeSnap.Metrics != nil {
-		// Counters ride checkpoint snapshots (PR 2), so a resumed
-		// segment's summary reflects the whole run, not just the tail.
-		rec.Registry().RestoreCounters(resumeSnap.Metrics)
-	}
-	ropt.Recorder = rec
-
-	// Per-job run bundle: the same flight-recorder artifact the accals
-	// CLI's -bundle writes (ledger + manifest + trace + summary + slow-
-	// round profiles), rooted in the job's state directory so
-	// GET /v1/jobs/{id}/bundle can serve it after the client is gone. A
-	// resumed segment truncates the ledger to the snapshot's byte offset
-	// (LedgerBytes is 0 when the snapshot predates bundling — the
-	// whole-file truncate then simply starts the ledger fresh), so
-	// re-executed rounds never appear twice. Bundle failures are logged
-	// and dropped: bundling is observability, the journal is correctness.
-	bundle, traceFile := m.openBundle(id, spec, g.Name, ropt, resumeSnap, rec)
 	defer func() {
 		// Runs on every exit, including a propagating panic (before the
-		// recover above converts it): the summary needs res, so a panic
-		// segment closes the ledger without one.
-		if bundle == nil {
-			return
-		}
-		if res != nil {
-			sum := ledger.RunSummary{
-				Circuit:        g.Name,
-				Method:         spec.method(),
-				Metric:         spec.Metric,
-				Bound:          spec.Bound,
-				Error:          res.Error,
-				InitialAnds:    g.NumAnds(),
-				FinalAnds:      res.Final.NumAnds(),
-				Rounds:         len(res.Rounds),
-				LACsApplied:    res.LACsApplied,
-				RuntimeSeconds: time.Since(start).Seconds(),
-				StopReason:     res.StopReason.String(),
-				IndpWinRate:    res.IndpRatio(),
-				Obs:            rec.Summary(),
-			}
-			if werr := bundle.WriteSummary(sum); werr != nil {
-				m.cfg.Log.Warn("bundle summary write failed", "job", id, "err", werr)
-			}
-		}
-		if cerr := bundle.Close(); cerr != nil {
+		// recover above converts it), which closes the bundle without a
+		// summary.
+		if cerr := s.Close(res); cerr != nil {
 			m.cfg.Log.Warn("bundle close failed", "job", id, "err", cerr)
-		}
-		if traceFile != nil {
-			_ = traceFile.Close()
 		}
 	}()
 
@@ -366,6 +321,7 @@ func (m *Manager) execute(j *job) (res *core.Result, runtime time.Duration, err 
 	if err != nil {
 		return nil, 0, err
 	}
+	s.Checkpoint(ckpt, m.saveSnapshot(id, ckpt), func() { m.met.checkpoint(ckptSkipped, 0) })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -377,152 +333,47 @@ func (m *Manager) execute(j *job) (res *core.Result, runtime time.Duration, err 
 		cancel() // a Cancel raced the dispatch; stop before round 1
 	}
 
-	// lastSaved tracks the newest on-disk snapshot round so the final
-	// interrupted-stop snapshot is only written when it adds rounds.
-	lastSaved := -1
-	if ropt.Start != nil {
-		lastSaved = ropt.Start.Round - 1
-	}
-	var lastAccepted *checkpoint.Snapshot
-	ropt.Progress = func(rs core.RoundStats) {
+	// Interrupted runs (drain, cancel, watchdog) snapshot their last
+	// accepted round even off-cadence, so a drain-then-restart cycle
+	// loses no completed work.
+	res = s.Run(ctx, func(core.RoundStats) {
 		// Fault points: a stalled round for the watchdog to catch,
 		// and an in-run panic for the isolation contract.
 		m.cfg.Inj.Sleep(ctx, FaultRoundHang)
 		m.cfg.Inj.Crash(FaultJobPanic)
-		if bundle != nil {
-			bundle.ObserveRound(rs.Round, rs.RoundDuration)
-		}
-		if rs.Graph == nil || rs.Error > spec.Bound {
-			return // rejected round: never checkpoint an over-bound circuit
-		}
-		s := &checkpoint.Snapshot{
-			Round:   rs.Round,
-			Error:   rs.Error,
-			Seed:    ropt.Params.Seed,
-			HasSeed: ropt.Params.HasSeed,
-			Metric:  spec.Metric,
-			Bound:   spec.Bound,
-			Method:  spec.method(),
-		}
-		if bundle != nil {
-			// The snapshot pins the ledger offset and engine counters so
-			// a resumed segment truncates re-executed rounds and keeps
-			// whole-run counter continuity.
-			s.Metrics = rec.Registry().CounterSnapshot()
-			s.LedgerBytes = bundle.LedgerSize()
-		}
-		if err := s.SetGraph(rs.Graph); err != nil {
-			return
-		}
-		lastAccepted = s
-		if !ckpt.Due(rs.Round) {
-			m.met.checkpoint(ckptSkipped, 0)
-			return
-		}
-		m.saveSnapshot(id, ckpt, s, &lastSaved)
-	}
-
-	switch spec.method() {
-	case "seals":
-		res = seals.RunCtx(ctx, g, metric, spec.Bound, ropt)
-	default:
-		res = core.RunCtx(ctx, g, metric, spec.Bound, ropt)
-	}
-
-	// Interrupted runs (drain, cancel, watchdog) snapshot their last
-	// accepted round even off-cadence, so a drain-then-restart cycle
-	// loses no completed work.
-	if res.StopReason.Interrupted() && lastAccepted != nil {
-		m.saveSnapshot(id, ckpt, lastAccepted, &lastSaved)
-	}
+	})
 	return res, time.Since(start), nil
 }
 
-// saveSnapshot writes one checkpoint snapshot through the fault
-// points: an injected write error skips the snapshot (the run
-// continues — checkpointing is an optimisation, the journal holds
+// saveSnapshot returns the job's snapshot writer, which saves through
+// the fault points: an injected write error skips the snapshot (the
+// run continues — checkpointing is an optimisation, the journal holds
 // correctness), and an injected corruption truncates the snapshot
 // file on disk like a torn write surviving a crash.
-func (m *Manager) saveSnapshot(id string, ckpt *checkpoint.Writer, s *checkpoint.Snapshot, lastSaved *int) {
-	if s.Round <= *lastSaved {
-		m.met.checkpoint(ckptSkipped, 0)
-		return
-	}
-	if m.store.frozen.Load() {
-		return
-	}
-	if err := m.cfg.Inj.Fail(FaultCkptWrite); err != nil {
-		m.met.checkpoint(ckptFailed, 0)
-		m.cfg.Log.Warn("checkpoint save failed", "job", id, "round", s.Round, "err", err)
-		return
-	}
-	start := time.Now()
-	if err := ckpt.Save(s); err != nil {
-		m.met.checkpoint(ckptFailed, 0)
-		m.cfg.Log.Warn("checkpoint save failed", "job", id, "round", s.Round, "err", err)
-		return
-	}
-	m.met.checkpoint(ckptSaved, time.Since(start))
-	*lastSaved = s.Round
-	path := filepath.Join(ckpt.Dir(), fmt.Sprintf("ckpt-%08d.json", s.Round))
-	if fi, err := os.Stat(path); err == nil {
-		if kept := m.cfg.Inj.Data(FaultCkptCorrupt, make([]byte, fi.Size())); int64(len(kept)) < fi.Size() {
-			_ = os.Truncate(path, int64(len(kept)))
+func (m *Manager) saveSnapshot(id string, ckpt *checkpoint.Writer) func(*checkpoint.Snapshot) error {
+	return func(s *checkpoint.Snapshot) error {
+		if m.store.frozen.Load() {
+			return fmt.Errorf("%w: store frozen", ErrDisk)
 		}
+		err := m.cfg.Inj.Fail(FaultCkptWrite)
+		start := time.Now()
+		if err == nil {
+			err = ckpt.Save(s)
+		}
+		if err != nil {
+			m.met.checkpoint(ckptFailed, 0)
+			m.cfg.Log.Warn("checkpoint save failed", "job", id, "round", s.Round, "err", err)
+			return err
+		}
+		m.met.checkpoint(ckptSaved, time.Since(start))
+		path := filepath.Join(ckpt.Dir(), fmt.Sprintf("ckpt-%08d.json", s.Round))
+		if fi, err := os.Stat(path); err == nil {
+			if kept := m.cfg.Inj.Data(FaultCkptCorrupt, make([]byte, fi.Size())); int64(len(kept)) < fi.Size() {
+				_ = os.Truncate(path, int64(len(kept)))
+			}
+		}
+		return nil
 	}
-}
-
-// openBundle opens (or resumes) the job's run bundle and attaches its
-// ledger writer and a per-segment phase tracer to rec. Returns nils
-// when bundling is disabled or the open fails — the run proceeds
-// unrecorded either way, because the bundle is an artifact, not a
-// correctness dependency. The trace file is truncated per segment: a
-// resumed segment's trace documents that segment's phases, while the
-// ledger spans the whole run via the checkpoint truncation protocol.
-func (m *Manager) openBundle(id string, spec JobSpec, circuit string, ropt core.Options, resumeSnap *checkpoint.Snapshot, rec *obs.Recorder) (*ledger.Bundle, *os.File) {
-	if !m.cfg.Bundles {
-		return nil, nil
-	}
-	dir := m.store.bundleDir(id)
-	var bundle *ledger.Bundle
-	var err error
-	if resumeSnap != nil {
-		bundle, err = ledger.Resume(dir, resumeSnap.LedgerBytes)
-	} else {
-		bundle, err = ledger.Create(dir)
-	}
-	if err != nil {
-		m.cfg.Log.Warn("bundle open failed; running without one", "job", id, "err", err)
-		return nil, nil
-	}
-	rec.AddSink(bundle.Writer())
-	bundle.SetSlowRoundThreshold(m.cfg.BundleSlowRound)
-	var traceFile *os.File
-	if tf, terr := os.Create(bundle.Path(ledger.TraceFile)); terr == nil {
-		rec.AddTracer(obs.NewTracer(tf, obs.TraceJSONL))
-		traceFile = tf
-	} else {
-		m.cfg.Log.Warn("bundle trace open failed", "job", id, "err", terr)
-	}
-	man := ledger.Manifest{
-		CreatedAt:   time.Now(),
-		Command:     []string{"accalsd", "job=" + id, "tenant=" + spec.Tenant},
-		Circuit:     circuit,
-		Method:      spec.method(),
-		Metric:      spec.Metric,
-		Bound:       spec.Bound,
-		Seed:        ropt.Params.Seed,
-		Patterns:    ropt.NumPatterns,
-		Workers:     ropt.Workers,
-		Incremental: ropt.Incremental,
-		TraceID:     rec.TraceID(),
-		Resumed:     resumeSnap != nil,
-	}
-	man.FillEnvironment()
-	if merr := bundle.WriteManifest(man); merr != nil {
-		m.cfg.Log.Warn("bundle manifest write failed", "job", id, "err", merr)
-	}
-	return bundle, traceFile
 }
 
 // writeBundleJob drops the terminal Job snapshot into the bundle

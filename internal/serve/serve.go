@@ -8,8 +8,9 @@
 // process down.
 //
 // Every lifecycle step is durable: job acceptance and state
-// transitions go through an fsync'd journal, running jobs checkpoint
-// through internal/checkpoint, and Open's recovery replays the
+// transitions go through an fsync'd journal, running jobs resume,
+// checkpoint and record bundles through internal/session (the accals
+// command's code path), and Open's recovery replays the
 // journal to re-queue every non-terminal job, resuming each from its
 // latest valid snapshot — byte-identically, because the synthesis
 // trajectory is deterministic from (snapshot, seed). Graceful

@@ -406,6 +406,39 @@ func TestDrainSnapshotsAndRecoverResumesByteIdentically(t *testing.T) {
 	}
 }
 
+// TestUncertifiedRoundNeverSnapshotted: on ksa32 under MaxED 16, round
+// 0 passes on the sampled patterns but fails certification, and the
+// run stops uncertified with the exact circuit. A snapshot of that
+// round would make a resume adopt a circuit whose worst case was never
+// proved, so even at cadence 1 the job must leave none.
+func TestUncertifiedRoundNeverSnapshotted(t *testing.T) {
+	dir := t.TempDir()
+	m := openManager(t, Config{Dir: dir, MaxRunning: 1, CheckpointEvery: 1})
+	defer closeManager(t, m)
+	j, err := m.Submit(JobSpec{Circuit: "ksa32", Metric: "maxed", Bound: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, m, j.ID, 60*time.Second)
+	if fin.State != StateDone || fin.StopReason != "uncertified" {
+		t.Fatalf("job ended %s, stop %q (failure %q); want done, uncertified", fin.State, fin.StopReason, fin.Failure)
+	}
+	res, err := m.Result(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Error != 0 || res.Rounds != 1 {
+		t.Errorf("result has error %v after %d rounds; want the exact circuit after round 0", res.Error, res.Rounds)
+	}
+	snap, err := checkpoint.Latest(filepath.Join(dir, "jobs", j.ID, "ckpt"))
+	if err == nil {
+		t.Fatalf("uncertified run left a snapshot of round %d (sampled error %v)", snap.Round, snap.Error)
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("checkpoint directory: %v", err)
+	}
+}
+
 func TestJournalTornTailIsRepaired(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultinject.New(1)

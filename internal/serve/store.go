@@ -219,7 +219,7 @@ func (s *store) ckptDir(id string) string {
 }
 
 // bundleDir returns the job's run-bundle directory path (created by
-// ledger.Create/Resume on first use).
+// session.OpenBundle on first use).
 func (s *store) bundleDir(id string) string {
 	return filepath.Join(s.dir, "jobs", id, "bundle")
 }

@@ -82,11 +82,11 @@ func validateRun(orig *Graph, metric Metric, bound float64) error {
 }
 
 // SynthesizeCtx is Synthesize with cooperative cancellation and input
-// validation. The run checks ctx (and Options.Deadline/MaxRuntime)
-// once per round; on cancellation it returns the best circuit found so
-// far with Result.StopReason set to StopCancelled or
-// StopDeadlineExceeded and a nil error — an interrupted run is still a
-// usable result. A non-nil error means the inputs were unusable (see
+// validation. The run checks ctx (its cancellation and deadline) and
+// Options.MaxRuntime once per round; on cancellation it returns the
+// best circuit found so far with Result.StopReason set to
+// StopCancelled or StopDeadlineExceeded and a nil error — an
+// interrupted run is still a usable result. A non-nil error means the inputs were unusable (see
 // the Err* sentinels); no panic escapes this function.
 func SynthesizeCtx(ctx context.Context, orig *Graph, metric Metric, bound float64, opt Options) (res *Result, err error) {
 	defer runctl.Guard(&err)

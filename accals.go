@@ -219,7 +219,8 @@ const (
 )
 
 // NewTracer writes one trace event per finished span to w in the
-// given format. Call Close (or Recorder.Finish) to flush.
+// given format. Call Close to flush, or let the run do it: a run's end
+// closes every tracer attached to its Recorder.
 func NewTracer(w io.Writer, format TraceFormat) *Tracer { return obs.NewTracer(w, format) }
 
 // RunSummary aggregates a Recorder's metrics at end of run: per-phase
@@ -229,6 +230,9 @@ type RunSummary = obs.Summary
 // Sink receives a run's ledger events (run metadata, one event per
 // round, and the final outcome) from a Recorder. Attach one with
 // Recorder.AddSink; NewLedgerWriter provides the standard JSONL sink.
+// A Recorder is a Sink too: the flows report each event to it once,
+// and it derives its metrics and status from the event before passing
+// it on.
 type Sink = obs.Sink
 
 // RunMeta is the ledger's opening event: the run's configuration and

@@ -226,6 +226,44 @@ func TestRunCancelledContextStillWritesOutput(t *testing.T) {
 	}
 }
 
+// TestRunSummaryCertified: a MaxED run's summary records that its
+// final circuit is certified, and a statistical run's summary carries
+// no certification keys at all.
+func TestRunSummaryCertified(t *testing.T) {
+	cases := []struct {
+		args []string
+		want bool
+	}{
+		{[]string{"-circuit", "wal8", "-metric", "maxed", "-bound", "32"}, true},
+		{[]string{"-circuit", "mtp8", "-metric", "er", "-bound", "0.05"}, false},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(t.TempDir(), "s.json")
+		cfg := mustParse(t, append(tc.args, "-patterns", "512", "-summary", path)...)
+		if err := cfg.validate(); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := run(context.Background(), cfg, &buf); err != nil {
+			t.Fatalf("run %v: %v\n%s", tc.args, err, buf.String())
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum map[string]any
+		if err := json.Unmarshal(raw, &sum); err != nil {
+			t.Fatal(err)
+		}
+		if c, ok := sum["certified"]; tc.want && c != true || !tc.want && ok {
+			t.Errorf("%v: summary has certified = %v (present %v), want %v", tc.args, c, ok, tc.want)
+		}
+		if _, ok := sum["cert_conflicts"]; ok && !tc.want {
+			t.Errorf("%v: statistical run's summary has cert_conflicts", tc.args)
+		}
+	}
+}
+
 func TestRunObservabilityOutputs(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")

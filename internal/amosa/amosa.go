@@ -158,14 +158,49 @@ func RunCtx(ctx context.Context, orig *aig.Graph, metric errmetric.Kind, opt Opt
 	patCount := pats.NumPatterns()
 	cmp := errmetric.NewComparator(metric, orig, pats)
 	runner := simulate.NewRunner(opt.Workers)
-	rec.SetWorkers(runner.Workers())
+	r := &Result{StopReason: runctl.MaxRounds}
+
+	// The run's events (see internal/ledger): the annealer maps
+	// iterations onto rounds, with the Accepted/ArchiveSize extras and
+	// no selection-pipeline columns. The area and depth columns are
+	// filled only for a ledger sink (led), so an unledgered run never
+	// invokes the technology mapper. A run that stops before its first
+	// iteration reports its meta and its finish with no rounds.
+	led := rec.Ledgering()
+	if rec != nil {
+		meta := obs.RunMeta{
+			Method:      "amosa",
+			Circuit:     orig.Name,
+			Metric:      strings.ToLower(cmp.Kind().String()),
+			Bound:       opt.ErrBound,
+			Seed:        opt.Seed,
+			Patterns:    patCount,
+			Workers:     runner.Workers(),
+			InitialAnds: orig.NumAnds(),
+		}
+		if led {
+			meta.InitialArea, _ = mapping.AreaDelay(orig)
+			meta.InitialDepth = orig.Depth()
+		}
+		rec.RunMeta(meta)
+	}
+	// finish ends the run with r's stop reason after itersDone
+	// iterations.
+	itersDone := 0
+	finish := func() *Result {
+		r.Runtime = time.Since(start)
+		if rec != nil {
+			rec.Finish(finishEvent(r, itersDone))
+		}
+		return r
+	}
+
 	simSpan := rec.StartPhase(0, obs.PhaseSimulate)
 	res, serr := runner.RunRec(orig, pats, rec)
 	simSpan.End()
 	if serr != nil {
-		r := &Result{StopReason: runctl.Failed, Runtime: time.Since(start)}
-		rec.Finish(r.StopReason.String())
-		return r
+		r.StopReason = runctl.Failed
+		return finish()
 	}
 	rec.CountSimPatterns(patCount)
 
@@ -184,39 +219,14 @@ func RunCtx(ctx context.Context, orig *aig.Graph, metric errmetric.Kind, opt Opt
 	if len(pool) > opt.PoolSize {
 		pool = pool[:opt.PoolSize]
 	}
-
-	r := &Result{StopReason: runctl.MaxRounds}
 	if len(pool) == 0 {
 		r.StopReason = runctl.Stagnated
-		r.Runtime = time.Since(start)
-		rec.Finish(r.StopReason.String())
-		return r
+		return finish()
 	}
 
 	// Precompute conflicts within the pool (same target, or SN of one
 	// is TN of another).
 	conflicts := buildConflicts(pool)
-
-	// Round ledger (see internal/ledger): the annealer maps iterations
-	// onto rounds, with the Accepted/ArchiveSize extras and no
-	// selection-pipeline columns. Guarded by led so an unledgered run
-	// never invokes the technology mapper.
-	led := rec.Ledgering()
-	if led {
-		area, _ := mapping.AreaDelay(orig)
-		rec.EmitMeta(obs.RunMeta{
-			Method:       "amosa",
-			Circuit:      orig.Name,
-			Metric:       strings.ToLower(cmp.Kind().String()),
-			Bound:        opt.ErrBound,
-			Seed:         opt.Seed,
-			Patterns:     patCount,
-			Workers:      runner.Workers(),
-			InitialAnds:  orig.NumAnds(),
-			InitialArea:  area,
-			InitialDepth: orig.Depth(),
-		})
-	}
 
 	fo := orig.Fanouts()
 	evaluate := func(sel []int) (float64, int) {
@@ -247,7 +257,6 @@ func RunCtx(ctx context.Context, orig *aig.Graph, metric errmetric.Kind, opt Opt
 	archive := []Point{{Error: curErr, Ands: curAnds, LACs: poolSubset(pool, cur)}}
 
 	temp := opt.InitialTemp
-	itersDone := 0
 	for it := 0; it < opt.Iterations; it++ {
 		if reason, stop := ctl.Stop(); stop {
 			r.StopReason = reason
@@ -277,10 +286,9 @@ func RunCtx(ctx context.Context, orig *aig.Graph, metric errmetric.Kind, opt Opt
 		}
 		temp *= opt.Cooling
 		itersDone = it + 1
-		rec.EndRound(it, curErr, curAnds, 0, 0)
-		if led {
+		if rec != nil {
 			acc := accepted
-			rec.EmitRound(obs.RoundEvent{
+			rec.Round(obs.RoundEvent{
 				Round:       it,
 				BudgetLeft:  opt.ErrBound - curErr,
 				Error:       curErr,
@@ -297,29 +305,29 @@ func RunCtx(ctx context.Context, orig *aig.Graph, metric errmetric.Kind, opt Opt
 
 	sort.Slice(archive, func(i, j int) bool { return archive[i].Error < archive[j].Error })
 	r.Archive = archive
-	r.Runtime = time.Since(start)
-	if led {
-		f := obs.RunFinish{
-			StopReason: r.StopReason.String(),
-			Rounds:     itersDone,
-			RuntimeUS:  r.Runtime.Microseconds(),
-		}
-		// The annealer's outcome is an archive, not one circuit; report
-		// the smallest solution within the bound as the headline.
-		if len(archive) > 0 {
-			best := archive[0]
-			for _, pt := range archive[1:] {
-				if pt.Ands < best.Ands {
-					best = pt
-				}
-			}
-			f.Error = best.Error
-			f.NumAnds = best.Ands
-		}
-		rec.EmitFinish(f)
+	return finish()
+}
+
+// finishEvent is the RunFinish of a run that ended after iters
+// iterations. The annealer's outcome is an archive, not one circuit;
+// the smallest solution within the bound is reported as the headline.
+func finishEvent(r *Result, iters int) obs.RunFinish {
+	f := obs.RunFinish{
+		StopReason: r.StopReason.String(),
+		Rounds:     iters,
+		RuntimeUS:  r.Runtime.Microseconds(),
 	}
-	rec.Finish(r.StopReason.String())
-	return r
+	if len(r.Archive) > 0 {
+		best := r.Archive[0]
+		for _, pt := range r.Archive[1:] {
+			if pt.Ands < best.Ands {
+				best = pt
+			}
+		}
+		f.Error = best.Error
+		f.NumAnds = best.Ands
+	}
+	return f
 }
 
 // poolSubset materialises the selected LACs.

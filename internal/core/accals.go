@@ -17,18 +17,6 @@ import (
 	"accals/internal/simulate"
 )
 
-// pendingSim is an in-flight prefetched base simulation: the next
-// round's circuit simulated on a background goroutine while the main
-// loop finishes the current round's bookkeeping. done is closed when
-// res/err are ready; the channel close is the happens-before edge that
-// hands the runner back to the main loop.
-type pendingSim struct {
-	g    *aig.Graph
-	res  *simulate.Result
-	err  error
-	done chan struct{}
-}
-
 // Options configures a synthesis run (shared by AccALS and the
 // baseline flows).
 type Options struct {
@@ -66,9 +54,11 @@ type Options struct {
 	// or mutate it freely without affecting the synthesis.
 	Progress func(RoundStats)
 	// Recorder, when non-nil, receives the run's instrumentation:
-	// per-phase spans, LAC/guard/duel counters and the live status
-	// snapshot served by the introspection server. A nil recorder is
-	// a no-op and costs one nil check per instrumentation point.
+	// per-phase spans, the layer counters, and one event per run start,
+	// round and finish, from which it derives the LAC/guard/duel
+	// counters and the live status snapshot served by the introspection
+	// server. A nil recorder is a no-op: the run builds no events and
+	// pays one nil check per instrumentation point.
 	Recorder *obs.Recorder
 	// MaxRuntime, when positive, bounds the run's wall-clock time from
 	// its start, returning the best circuit so far with StopReason
@@ -200,7 +190,10 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	genCfg := opt.GenCfg
 	ctl := runctl.NewController(ctx, opt.MaxRuntime, start)
 
-	gNew := orig.Clone()
+	// fresh is the circuit an unresumed run starts from; the run's
+	// RunMeta describes it on every segment.
+	fresh := orig.Clone()
+	gNew := fresh
 	e := 0.0
 	round0 := 0
 	if opt.Start != nil && opt.Start.Graph != nil {
@@ -255,8 +248,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	runner := simulate.NewRunner(opt.Workers)
 	est := estimator.New(opt.Workers)
 	sel := newSelector(opt.Workers)
-	parallel := runner.Workers() > 1
-	rec.SetWorkers(runner.Workers())
 	genCfg.Workers = opt.Workers
 
 	// Work outside every phase — the round tail and the ledger's
@@ -266,11 +257,11 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	// `report -timeline`'s unattributed remainder honest.
 	tracing := rec.Tracing()
 
-	// The round ledger: with a sink attached, the run opens with a
-	// RunMeta, every round emits its full decision record, and the
-	// trajectory carries mapped area and logic depth. All of it is
-	// guarded by led so an unledgered run allocates no events and never
-	// invokes the technology mapper.
+	// The run's events: with a recorder, the run opens with a RunMeta
+	// and every round reports its full decision record. With a ledger
+	// sink attached (led), the trajectory also carries mapped area and
+	// logic depth and each applied LAC its own measured error; an
+	// unledgered run never invokes the technology mapper.
 	led := rec.Ledgering()
 	// mappedArea is the ledger's technology mapping of g, under a
 	// trace-only span.
@@ -285,22 +276,23 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		}
 		return area
 	}
-	if led {
-		area := mappedArea(round0, g)
-		rec.EmitMeta(obs.RunMeta{
-			Method:       "accals",
-			Circuit:      orig.Name,
-			Metric:       strings.ToLower(cmp.Kind().String()),
-			Bound:        errBound,
-			Seed:         params.Seed,
-			Patterns:     patCount,
-			Workers:      runner.Workers(),
-			InitialAnds:  g.NumAnds(),
-			InitialArea:  area,
-			InitialDepth: g.Depth(),
-			StartRound:   round0,
-			Resumed:      opt.Start != nil && opt.Start.Graph != nil,
-		})
+	if rec != nil {
+		meta := obs.RunMeta{
+			Method:      "accals",
+			Circuit:     orig.Name,
+			Metric:      strings.ToLower(cmp.Kind().String()),
+			Bound:       errBound,
+			Seed:        params.Seed,
+			Patterns:    patCount,
+			Workers:     runner.Workers(),
+			InitialAnds: fresh.NumAnds(),
+			StartRound:  round0,
+			Resumed:     opt.Start != nil && opt.Start.Graph != nil,
+		}
+		if led {
+			meta.InitialArea, meta.InitialDepth = mappedArea(round0, fresh), fresh.Depth()
+		}
+		rec.RunMeta(meta)
 	}
 
 	// The incremental round engine: gen caches per-target candidate
@@ -349,36 +341,11 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		return out
 	}
 
-	// pend is the prefetched base simulation of the next round's
-	// circuit, overlapped with end-of-round bookkeeping (progress
-	// clone, checkpointing). The next simulate phase joins it; every
-	// other exit joins it in the deferred handler below — deferred
-	// rather than placed after the loop so that a panicking Progress
-	// callback (recovered by runctl.Guard at the public API boundary)
-	// cannot leak the goroutine and its pinned graph and result.
-	var pend *pendingSim
-	defer func() {
-		if pend != nil {
-			<-pend.done
-			runner.Release(pend.res)
-		}
-	}()
-	startPrefetch := func(round int) {
-		if !parallel || e > errBound || round+1 >= params.MaxRounds || noProgress >= StagnationRounds {
-			return
-		}
-		pend = &pendingSim{g: gNew, done: make(chan struct{})}
-		go func(p *pendingSim) {
-			p.res, p.err = runner.Run(p.g, cmp.Patterns())
-			close(p.done)
-		}(pend)
-	}
-
 	if startUncertified {
 		// Reject the unprovable checkpoint outright: the run falls back
 		// to the exact circuit (trivially within any bound) and the
 		// stop reason tells the caller the resume was not adopted.
-		g = orig.Clone()
+		g = fresh
 		eG = cmp.Error(g)
 		gNew, e = g, eG
 		reason = runctl.Uncertified
@@ -409,22 +376,7 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		rs := RoundStats{Round: round, NumAnds: g.NumAnds()}
 
 		sp := rec.StartPhase(round, obs.PhaseSimulate)
-		var simRes *simulate.Result
-		var serr error
-		if pend != nil {
-			<-pend.done
-			if pend.g == g {
-				simRes, serr = pend.res, pend.err
-			} else {
-				// Defensive: the prefetched circuit is not this
-				// round's base; recycle and simulate the actual one.
-				runner.Release(pend.res)
-			}
-			pend = nil
-		}
-		if simRes == nil && serr == nil {
-			simRes, serr = runner.RunRec(g, cmp.Patterns(), rec)
-		}
+		simRes, serr := runner.RunRec(g, cmp.Patterns(), rec)
 		sp.End()
 		if serr != nil {
 			// Only reachable through a warm start whose interface
@@ -439,7 +391,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		cands := generate(g, simRes)
 		sp.End()
 		rs.Candidates = len(cands)
-		rec.CountCandidates(len(cands))
 		if len(cands) == 0 {
 			roundSpan.End()
 			reason = runctl.Stagnated
@@ -453,7 +404,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		if e > params.LE*errBound && !params.DisableImprovements {
 			// Improvement technique 1: single-LAC selection close to
 			// the error bound.
-			rec.GuardSingleLAC()
 			rs.GuardSingle = true
 			applied = cands[:1]
 			e = measure(round, g, simRes, applied)[0]
@@ -507,7 +457,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 				} else {
 					e, applied = e2, lRand
 				}
-				rec.DuelOutcome(rs.PickedIndp)
 			}
 		}
 		sp = rec.StartPhase(round, obs.PhaseApply)
@@ -525,8 +474,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		if rs.MultiRound && e > 0 && !params.DisableImprovements {
 			beta := (e - rs.EstimatedErr) / e
 			if beta > params.LD || (e > errBound && len(applied) > 1) {
-				rec.GuardNegativeRevert()
-				rec.CountReverted(len(applied))
 				rs.Reverted = true
 				sp = rec.StartPhase(round, obs.PhaseRevert)
 				applied = cands[:1]
@@ -581,7 +528,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 			tailT0 = time.Now()
 		}
 		noteApply(g, gNew, am, applied)
-		startPrefetch(round)
 		if tracing {
 			rec.EmitEvent(obs.TraceEvent{Name: "rebase", Round: round, Start: tailT0, Dur: time.Since(tailT0)})
 		}
@@ -592,10 +538,14 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		roundSpan.End()
 		result.Rounds = append(result.Rounds, rs)
 		result.LACsApplied += len(applied)
-		rec.CountApplied(len(applied))
-		rec.EndRound(round, e, gNew.NumAnds(), noProgress, len(applied))
-		if led {
-			rec.EmitRound(ledgerRound(rs, gNew, mappedArea(round, gNew), errBound-eG, applied, measured))
+		if rec != nil {
+			// The recorder hears of the round before Progress, whose
+			// checkpointer snapshots the recorder's counters.
+			ev := rs.Event(gNew.NumAnds(), errBound-eG, applied, measured)
+			if led {
+				ev.Area, ev.Depth = mappedArea(round, gNew), gNew.Depth()
+			}
+			rec.Round(ev)
 		}
 		emitProgress(opt.Progress, rs, gNew)
 		if rs.CertRan && !rs.Certified {
@@ -621,20 +571,20 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	// the final result is certified by construction.
 	result.Certified = certEnabled
 	result.Runtime = time.Since(start)
-	if led {
-		area := mappedArea(lastRound, g)
-		rec.EmitFinish(obs.RunFinish{
+	if rec != nil {
+		fin := obs.RunFinish{
 			StopReason:  reason.String(),
 			Rounds:      round0 + len(result.Rounds),
 			Error:       eG,
 			NumAnds:     g.NumAnds(),
-			Area:        area,
-			Depth:       g.Depth(),
 			LACsApplied: result.LACsApplied,
 			RuntimeUS:   result.Runtime.Microseconds(),
-		})
+		}
+		if led {
+			fin.Area, fin.Depth = mappedArea(lastRound, g), g.Depth()
+		}
+		rec.Finish(fin)
 	}
-	rec.Finish(reason.String())
 	return result
 }
 
@@ -659,11 +609,13 @@ func certifyAgainst(cand, exact *aig.Graph, bound uint64, budget int64, rec *obs
 	return cert.Certified, cert.Conflicts
 }
 
-// ledgerRound converts one completed round's statistics into the
-// ledger's event shape, area being gNew's mapped area. Only called
-// when a ledger sink is attached: the area column needs the technology
-// mapper, which the uninstrumented loop must never pay for.
-func ledgerRound(rs RoundStats, gNew *aig.Graph, area, budgetLeft float64, applied []*lac.LAC, measured []float64) obs.RoundEvent {
+// Event converts one completed round's statistics into the recorder's
+// event shape, for both the AccALS and the SEALS flow. numAnds is the
+// size of the circuit the round produced, budgetLeft the error budget
+// the round started with, applied the LAC set of its final rebuild and
+// measured, when non-nil, each applied LAC's error alone. Area and
+// Depth are left zero: the flows map them only for a ledger sink.
+func (rs RoundStats) Event(numAnds int, budgetLeft float64, applied []*lac.LAC, measured []float64) obs.RoundEvent {
 	ev := obs.RoundEvent{
 		Round:         rs.Round,
 		Candidates:    rs.Candidates,
@@ -683,9 +635,7 @@ func ledgerRound(rs RoundStats, gNew *aig.Graph, area, budgetLeft float64, appli
 		Reverted:      rs.Reverted,
 		EstErr:        rs.EstimatedErr,
 		Error:         rs.Error,
-		NumAnds:       gNew.NumAnds(),
-		Area:          area,
-		Depth:         gNew.Depth(),
+		NumAnds:       numAnds,
 		NoProgress:    rs.NoProgress,
 		DurationUS:    rs.RoundDuration.Microseconds(),
 	}
@@ -698,12 +648,12 @@ func ledgerRound(rs RoundStats, gNew *aig.Graph, area, budgetLeft float64, appli
 		i, r := rs.DuelIndpErr, rs.DuelRandErr
 		ev.DuelIndpErr, ev.DuelRandErr = &i, &r
 	}
+	ev.Applied = make([]obs.AppliedLAC, len(applied))
 	for i, l := range applied {
-		a := obs.AppliedLAC{Target: l.Target, Gain: l.Gain, DeltaE: l.DeltaE}
+		ev.Applied[i] = obs.AppliedLAC{Target: l.Target, Gain: l.Gain, DeltaE: l.DeltaE}
 		if i < len(measured) {
-			a.MeasuredErr = measured[i]
+			ev.Applied[i].MeasuredErr = measured[i]
 		}
-		ev.Applied = append(ev.Applied, a)
 	}
 	return ev
 }

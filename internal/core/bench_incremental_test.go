@@ -47,7 +47,6 @@ func benchIncRun(sc benchScenario, incremental bool) obs.Summary {
 		Incremental: incremental,
 		Params:      Params{Seed: 7, MaxRounds: 30, LE: sc.le},
 	})
-	rec.Finish("bench")
 	return rec.Summary()
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -92,8 +93,8 @@ func TestWorkersBitIdenticalExactMode(t *testing.T) {
 	}
 }
 
-// TestParallelCancellation drives the parallel engine (including the
-// prefetch goroutine) into cancellation and deadline stops; run under
+// TestParallelCancellation drives the parallel engine into
+// cancellation and deadline stops; run under
 // -race this exercises the pool's happens-before edges. The result
 // must be a valid best-so-far circuit with the matching stop reason.
 func TestParallelCancellation(t *testing.T) {
@@ -131,5 +132,78 @@ func TestParallelCancellation(t *testing.T) {
 	}
 	if res.Final == nil {
 		t.Fatal("deadline run returned no circuit")
+	}
+}
+
+// waitGoroutines polls until the goroutine count drops to the target
+// or the deadline expires, returning the final count.
+func waitGoroutines(target int, deadline time.Duration) int {
+	end := time.Now().Add(deadline)
+	n := runtime.NumGoroutine()
+	for n > target && time.Now().Before(end) {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestNoGoroutineLeftOnCancel: a parallel run stopped by cancellation
+// must leave no goroutine behind.
+func TestNoGoroutineLeftOnCancel(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := circuits.ArrayMult(5)
+	ctx, cancel := context.WithCancel(context.Background())
+	rounds := 0
+	res := RunCtx(ctx, g, errmetric.ER, 0.4, Options{
+		NumPatterns: 2048,
+		Workers:     4,
+		Incremental: true,
+		Params:      Params{Seed: 1},
+		Progress: func(RoundStats) {
+			rounds++
+			if rounds == 3 {
+				cancel()
+			}
+		},
+	})
+	if res.StopReason != runctl.Cancelled {
+		t.Fatalf("stop reason %v, want Cancelled", res.StopReason)
+	}
+	if n := waitGoroutines(base, 2*time.Second); n > base {
+		t.Fatalf("%d goroutines alive after cancelled run, started with %d (goroutine leak)", n, base)
+	}
+}
+
+// TestNoGoroutineLeftOnPanic: a Progress callback that panics unwinds
+// RunWithComparatorCtx past the round loop (the public API recovers
+// via runctl.Guard); the unwind must leave no goroutine of the
+// parallel engine behind.
+func TestNoGoroutineLeftOnPanic(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g := circuits.ArrayMult(5)
+	rounds := 0
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("expected the Progress panic to propagate")
+			}
+		}()
+		Run(g, errmetric.ER, 0.4, Options{
+			NumPatterns: 2048,
+			Workers:     4,
+			Params:      Params{Seed: 1},
+			Progress: func(RoundStats) {
+				rounds++
+				if rounds == 2 {
+					panic("boom")
+				}
+			},
+		})
+	}()
+	if rounds != 2 {
+		t.Fatalf("panicked after %d rounds, want 2", rounds)
+	}
+	if n := waitGoroutines(base, 2*time.Second); n > base {
+		t.Fatalf("%d goroutines alive after panicking run, started with %d (goroutine leak)", n, base)
 	}
 }

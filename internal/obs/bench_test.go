@@ -17,15 +17,23 @@ func BenchmarkSpanNilRecorder(b *testing.B) {
 	}
 }
 
-// BenchmarkCountersNilRecorder measures the counter hot path with
+// benchRound is a duel round with four applied LACs, the shape of a
+// typical AccALS round event.
+func benchRound() RoundEvent {
+	e := 0.01
+	return RoundEvent{Candidates: 100, Multi: true, IndpSize: 4, RandSize: 4,
+		PickedIndp: true, DuelIndpErr: &e, DuelRandErr: &e, Error: e, NumAnds: 300,
+		Applied: make([]AppliedLAC, 4)}
+}
+
+// BenchmarkRoundNilRecorder measures reporting a round with
 // observability off.
-func BenchmarkCountersNilRecorder(b *testing.B) {
+func BenchmarkRoundNilRecorder(b *testing.B) {
 	var r *Recorder
+	ev := benchRound()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.CountCandidates(100)
-		r.CountApplied(4)
-		r.DuelOutcome(i&1 == 0)
+		r.Round(ev)
 	}
 }
 
@@ -39,14 +47,14 @@ func BenchmarkSpanLiveRecorder(b *testing.B) {
 	}
 }
 
-// BenchmarkCountersLiveRecorder measures live counter updates.
-func BenchmarkCountersLiveRecorder(b *testing.B) {
+// BenchmarkRoundLiveRecorder measures the counter, gauge and status
+// updates one round event makes on a live recorder with no sink.
+func BenchmarkRoundLiveRecorder(b *testing.B) {
 	r := NewRecorder()
+	ev := benchRound()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.CountCandidates(100)
-		r.CountApplied(4)
-		r.DuelOutcome(i&1 == 0)
+		r.Round(ev)
 	}
 }
 

@@ -64,11 +64,11 @@ func TestConcurrentSpanEmission(t *testing.T) {
 			}()
 		}
 		rw.Wait()
-		r.EndRound(round, 0.1, 100, 0, 1)
+		r.Round(RoundEvent{Round: round, Error: 0.1, NumAnds: 100, Applied: make([]AppliedLAC, 1)})
 	}
 	close(stop)
 	wg.Wait()
-	r.Finish("bounded")
+	r.Finish(RunFinish{StopReason: "bounded"})
 
 	// Every span reaches both tracers: the workers' phase spans and
 	// events plus the background goroutine's events.

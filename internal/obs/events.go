@@ -1,5 +1,7 @@
 package obs
 
+import "time"
+
 // This file defines the run ledger's event vocabulary: the typed,
 // schema-stable records a synthesis flow emits through its Recorder so
 // that every selection decision survives the run. The encoding (JSONL
@@ -8,10 +10,16 @@ package obs
 // importing the ledger package, and so the ledger can depend on obs
 // without a cycle.
 //
-// Cost contract: a nil Recorder — and a live Recorder with no attached
-// Sink — emits nothing, and the flows guard event construction behind
-// Recorder.Ledgering() so the uninstrumented loop allocates no ledger
-// events (see BenchmarkRunObsOff/On/Ledger in internal/core).
+// The Recorder is itself a Sink. The flows report each run to it once —
+// one RunMeta, one RoundEvent per round, one RunFinish — and it derives
+// its counters, gauges and /status snapshot from those events before
+// fanning them out to the attached sinks.
+//
+// Cost contract: with a nil Recorder the flows build no events at all.
+// A live Recorder gets every event, but the columns that cost real work
+// — mapped area, logic depth, the per-LAC measured errors — are filled
+// only behind Recorder.Ledgering(), when a sink is attached (see
+// BenchmarkRunObsOff/On/Ledger in internal/core).
 
 // RunMeta opens a run's ledger: the static facts every later event is
 // interpreted against. A resumed run appends a second RunMeta with
@@ -31,7 +39,8 @@ type RunMeta struct {
 	// Workers is the resolved parallel-engine worker count.
 	Workers int `json:"workers,omitempty"`
 	// InitialAnds/Area/Depth describe the original circuit, anchoring
-	// the per-round trajectory.
+	// the per-round trajectory. A resumed segment records the same
+	// circuit, not the checkpoint it warm-starts from.
 	InitialAnds  int     `json:"initial_ands,omitempty"`
 	InitialArea  float64 `json:"initial_area,omitempty"`
 	InitialDepth int     `json:"initial_depth,omitempty"`
@@ -171,39 +180,99 @@ func (r *Recorder) AddSink(s Sink) {
 }
 
 // Ledgering reports whether any ledger sink is attached. The flows
-// guard event construction (and the per-round area/depth mapping)
-// behind it, so a run without a ledger pays one nil/empty check per
-// round and allocates no events.
+// guard the events' costly columns (the per-round area/depth mapping
+// and the per-LAC measured errors) behind it.
 func (r *Recorder) Ledgering() bool {
 	return r != nil && len(r.sinks) > 0
 }
 
-// EmitMeta fans a RunMeta out to the attached sinks.
-func (r *Recorder) EmitMeta(m RunMeta) {
+// The Recorder is the sink the flows report to.
+var _ Sink = (*Recorder)(nil)
+
+// RunMeta opens a run (or a resumed segment of one): it records the
+// run's static facts in /status and the workers gauge, then fans m out
+// to the attached sinks.
+func (r *Recorder) RunMeta(m RunMeta) {
 	if r == nil {
 		return
 	}
+	r.workersGauge.Set(float64(m.Workers))
+	r.mu.Lock()
+	r.status.Method = m.Method
+	r.status.Circuit = m.Circuit
+	r.status.Metric = m.Metric
+	r.status.Bound = m.Bound
+	r.status.Workers = m.Workers
+	r.status.InitialAnds = m.InitialAnds
+	r.mu.Unlock()
 	for _, s := range r.sinks {
 		s.RunMeta(m)
 	}
 }
 
-// EmitRound fans a completed round's event out to the attached sinks.
-func (r *Recorder) EmitRound(ev RoundEvent) {
+// Round records one completed round, then fans ev out to the attached
+// sinks. Every per-round counter and gauge derives from ev: the rounds
+// counter; evaluated (Candidates), applied (Applied) and reverted LACs;
+// the guard activations (GuardSingle, Reverted); the duel outcome (a
+// round with both duel errors, won by PickedIndp); the round, error,
+// AND-count and no-progress gauges; and the /status snapshot.
+func (r *Recorder) Round(ev RoundEvent) {
 	if r == nil {
 		return
 	}
+	r.roundsTotal.Inc()
+	r.lacsEvaluated.Add(float64(ev.Candidates))
+	r.lacsApplied.Add(float64(len(ev.Applied)))
+	if ev.GuardSingle {
+		r.guardSingle.Inc()
+	}
+	if ev.Reverted {
+		// The revert undid the multi-LAC set the round had picked.
+		undone := ev.RandSize
+		if ev.PickedIndp {
+			undone = ev.IndpSize
+		}
+		r.guardRevert.Inc()
+		r.lacsReverted.Add(float64(undone))
+	}
+	if ev.DuelIndpErr != nil && ev.DuelRandErr != nil {
+		if ev.PickedIndp {
+			r.duelIndp.Inc()
+		} else {
+			r.duelRandom.Inc()
+		}
+	}
+	r.roundGauge.Set(float64(ev.Round))
+	r.errorGauge.Set(ev.Error)
+	r.andsGauge.Set(float64(ev.NumAnds))
+	r.noProgress.Set(float64(ev.NoProgress))
+	r.mu.Lock()
+	r.status.Round = ev.Round
+	r.status.Error = ev.Error
+	r.status.NumAnds = ev.NumAnds
+	r.status.NoProgress = ev.NoProgress
+	r.status.UpdatedAt = time.Now()
+	r.mu.Unlock()
 	for _, s := range r.sinks {
 		s.Round(ev)
 	}
 }
 
-// EmitFinish fans the run's closing event out to the attached sinks.
-func (r *Recorder) EmitFinish(f RunFinish) {
+// Finish closes the run: it marks /status stopped with f's reason, fans
+// f out to the attached sinks and closes every attached tracer.
+func (r *Recorder) Finish(f RunFinish) {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
+	r.status.Running = false
+	r.status.StopReason = f.StopReason
+	r.status.UpdatedAt = time.Now()
+	r.mu.Unlock()
 	for _, s := range r.sinks {
 		s.Finish(f)
+	}
+	for _, t := range r.tracers {
+		t.Close()
 	}
 }

@@ -25,7 +25,6 @@ func TestLiveScrapeDuringSynthesis(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder()
-	rec.SetRunInfo("accals", "mtp8", "er", 0.05, g.NumAnds())
 	srv, err := obs.Serve("127.0.0.1:0", rec.MetricsHandler())
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +98,11 @@ func TestLiveScrapeDuringSynthesis(t *testing.T) {
 	resp.Body.Close()
 	if st.Running {
 		t.Error("status still reports running after Finish")
+	}
+	// The run's facts come from the RunMeta the flow reported.
+	if st.Method != "accals" || st.Circuit != "mtp8" || st.Metric != "er" || st.Bound != 0.05 ||
+		st.InitialAnds != g.NumAnds() || st.Workers < 1 {
+		t.Errorf("status run facts = %+v", st)
 	}
 	if st.StopReason != res.StopReason.String() {
 		t.Errorf("status stop reason %q, result %q", st.StopReason, res.StopReason)

@@ -104,9 +104,13 @@ type Status struct {
 }
 
 // Recorder collects the instrumentation of one synthesis run: phase
-// spans, run counters and gauges, and a live status snapshot. All
-// methods are safe for concurrent use and are no-ops on a nil
-// receiver.
+// spans, run counters and gauges, and a live status snapshot. It is the
+// run's event Sink (see events.go): the run-level counters, the gauges
+// and the status derive from the RunMeta, RoundEvent and RunFinish the
+// flows report, while spans and the layer counters (simulated patterns,
+// SAT conflicts, certifications, cache dispositions, shard times,
+// AMOSA evaluations) are recorded where the work happens. All methods
+// are safe for concurrent use and are no-ops on a nil receiver.
 type Recorder struct {
 	reg     *Registry
 	tracers []*Tracer // fixed after setup; read without locking
@@ -300,20 +304,6 @@ func (s Span) End() time.Duration {
 	return d
 }
 
-// SetRunInfo records the static facts of the run for /status.
-func (r *Recorder) SetRunInfo(method, circuit, metric string, bound float64, initialAnds int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.status.Method = method
-	r.status.Circuit = circuit
-	r.status.Metric = metric
-	r.status.Bound = bound
-	r.status.InitialAnds = initialAnds
-}
-
 // BeginRound marks the start of a round, updating the round gauge and
 // the current-round context used by StartSpan.
 func (r *Recorder) BeginRound(round int) {
@@ -324,44 +314,9 @@ func (r *Recorder) BeginRound(round int) {
 	r.roundGauge.Set(float64(round))
 }
 
-// EndRound records a completed round's outcome: the live gauges, the
-// rounds counter and the /status snapshot.
-func (r *Recorder) EndRound(round int, err float64, numAnds, noProgress, applied int) {
-	if r == nil {
-		return
-	}
-	r.roundsTotal.Inc()
-	r.errorGauge.Set(err)
-	r.andsGauge.Set(float64(numAnds))
-	r.noProgress.Set(float64(noProgress))
-	r.mu.Lock()
-	r.status.Round = round
-	r.status.Error = err
-	r.status.NumAnds = numAnds
-	r.status.NoProgress = noProgress
-	r.status.LACsApplied += int64(applied)
-	r.status.UpdatedAt = time.Now()
-	r.mu.Unlock()
-}
-
-// Finish marks the run as stopped with the given reason and closes
-// every attached tracer.
-func (r *Recorder) Finish(stopReason string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.status.Running = false
-	r.status.StopReason = stopReason
-	r.status.UpdatedAt = time.Now()
-	r.mu.Unlock()
-	for _, t := range r.tracers {
-		t.Close()
-	}
-}
-
-// Status returns a copy of the live status snapshot, with the guard
-// and duel tallies read from the counters.
+// Status returns a copy of the live status snapshot, with the
+// applied-LAC, guard and duel tallies read from the counters, so they
+// continue across a resume as the counters do.
 func (r *Recorder) Status() Status {
 	if r == nil {
 		return Status{}
@@ -369,6 +324,7 @@ func (r *Recorder) Status() Status {
 	r.mu.Lock()
 	s := r.status
 	r.mu.Unlock()
+	s.LACsApplied = int64(r.lacsApplied.Value())
 	s.GuardSingle = int64(r.guardSingle.Value())
 	s.GuardRevert = int64(r.guardRevert.Value())
 	s.DuelIndp = int64(r.duelIndp.Value())
@@ -376,72 +332,14 @@ func (r *Recorder) Status() Status {
 	return s
 }
 
-// CountCandidates adds n to the evaluated-LAC counter.
+// CountCandidates adds n to the evaluated-LAC counter, for candidates
+// evaluated outside any round: AMOSA's one candidate pool. A round's
+// candidates are counted from its RoundEvent.
 func (r *Recorder) CountCandidates(n int) {
 	if r == nil {
 		return
 	}
 	r.lacsEvaluated.Add(float64(n))
-}
-
-// CountApplied adds n to the applied-LAC counter.
-func (r *Recorder) CountApplied(n int) {
-	if r == nil {
-		return
-	}
-	r.lacsApplied.Add(float64(n))
-}
-
-// CountReverted adds n to the reverted-LAC counter (LACs that were
-// applied and then undone by the negative-set guard).
-func (r *Recorder) CountReverted(n int) {
-	if r == nil {
-		return
-	}
-	r.lacsReverted.Add(float64(n))
-}
-
-// GuardSingleLAC counts one activation of improvement technique 1
-// (single-LAC fallback once the error exceeds l_e · e_b).
-func (r *Recorder) GuardSingleLAC() {
-	if r == nil {
-		return
-	}
-	r.guardSingle.Inc()
-}
-
-// GuardNegativeRevert counts one activation of improvement technique 2
-// (negative-set revert when the estimate gap exceeds l_d).
-func (r *Recorder) GuardNegativeRevert() {
-	if r == nil {
-		return
-	}
-	r.guardRevert.Inc()
-}
-
-// DuelOutcome records which candidate set won the per-round duel
-// between the independent and the random LAC set.
-func (r *Recorder) DuelOutcome(indpWon bool) {
-	if r == nil {
-		return
-	}
-	if indpWon {
-		r.duelIndp.Inc()
-	} else {
-		r.duelRandom.Inc()
-	}
-}
-
-// SetWorkers records the resolved worker count of the run's parallel
-// evaluation engine (gauge accals_workers and the /status snapshot).
-func (r *Recorder) SetWorkers(n int) {
-	if r == nil {
-		return
-	}
-	r.workersGauge.Set(float64(n))
-	r.mu.Lock()
-	r.status.Workers = n
-	r.mu.Unlock()
 }
 
 // ObserveShards records one timed parallel region of the given phase:

@@ -29,11 +29,11 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestServerEndpoints(t *testing.T) {
 	r := NewRecorder()
-	r.SetRunInfo("accals", "mtp8", "er", 0.05, 337)
+	r.RunMeta(RunMeta{Method: "accals", Circuit: "mtp8", Metric: "er", Bound: 0.05, InitialAnds: 337})
+	r.BeginRound(3)
+	r.Round(RoundEvent{Round: 3, Multi: true, Error: 0.01, NumAnds: 310, Applied: make([]AppliedLAC, 6)})
 	r.BeginRound(4)
-	r.CountApplied(7)
-	r.GuardSingleLAC()
-	r.EndRound(4, 0.012, 300, 0, 7)
+	r.Round(RoundEvent{Round: 4, GuardSingle: true, Error: 0.012, NumAnds: 300, Applied: make([]AppliedLAC, 1)})
 
 	srv, err := Serve("127.0.0.1:0", r.MetricsHandler())
 	if err != nil {
@@ -67,7 +67,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(status), &s); err != nil {
 		t.Fatalf("/status not JSON: %v\n%s", err, status)
 	}
-	if s.Round != 4 || s.NumAnds != 300 || !s.Running || s.GuardSingle != 1 {
+	if s.Round != 4 || s.NumAnds != 300 || !s.Running || s.GuardSingle != 1 || s.LACsApplied != 7 || s.InitialAnds != 337 {
 		t.Fatalf("/status = %+v", s)
 	}
 
@@ -163,7 +163,7 @@ func TestServerCloseUnderLoad(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	r := NewRecorder()
-	r.SetRunInfo("accals", "mtp8", "er", 0.05, 337)
+	r.RunMeta(RunMeta{Method: "accals", Circuit: "mtp8", Metric: "er", Bound: 0.05, InitialAnds: 337})
 	srv, err := Serve("127.0.0.1:0", r.MetricsHandler())
 	if err != nil {
 		t.Fatal(err)

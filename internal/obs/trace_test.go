@@ -16,7 +16,7 @@ func TestJSONLTracerOneEventPerSpan(t *testing.T) {
 	r.StartPhase(0, PhaseApply).End()
 	r.StartPhase(1, PhaseMeasure).End()
 	r.EmitEvent(TraceEvent{Name: "ledger-map", Round: 1, Start: time.Now(), Dur: time.Millisecond})
-	r.Finish("bounded") // closes tracers
+	r.Finish(RunFinish{StopReason: "bounded"}) // closes tracers
 
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 4 {

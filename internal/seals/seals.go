@@ -75,9 +75,11 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	// Each round's fanout index and measured error.
 	var fo aig.Fanouts
 	var measured [1]float64
-	rec.SetWorkers(runner.Workers())
 
-	gNew := orig.Clone()
+	// fresh is the circuit an unresumed run starts from; the run's
+	// RunMeta describes it on every segment.
+	fresh := orig.Clone()
+	gNew := fresh
 	e := 0.0
 	round0 := 0
 	if opt.Start != nil && opt.Start.Graph != nil {
@@ -91,27 +93,30 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	noProgress := 0
 	reason := runctl.Bounded
 
-	// Round ledger (see internal/ledger): the single-selection flow
-	// emits the subset of the event vocabulary it has — one applied LAC
-	// per round, no conflict graph or duel columns. Guarded by led so an
-	// unledgered run never invokes the technology mapper.
+	// The run's events (see internal/ledger): the single-selection flow
+	// reports the subset of the event vocabulary it has — one applied
+	// LAC per round, no conflict graph or duel columns. The area, depth
+	// and measured-error columns are filled only for a ledger sink (led),
+	// so an unledgered run never invokes the technology mapper.
 	led := rec.Ledgering()
-	if led {
-		area, _ := mapping.AreaDelay(g)
-		rec.EmitMeta(obs.RunMeta{
-			Method:       "seals",
-			Circuit:      orig.Name,
-			Metric:       strings.ToLower(cmp.Kind().String()),
-			Bound:        errBound,
-			Seed:         params.Seed,
-			Patterns:     patCount,
-			Workers:      runner.Workers(),
-			InitialAnds:  g.NumAnds(),
-			InitialArea:  area,
-			InitialDepth: g.Depth(),
-			StartRound:   round0,
-			Resumed:      opt.Start != nil && opt.Start.Graph != nil,
-		})
+	if rec != nil {
+		meta := obs.RunMeta{
+			Method:      "seals",
+			Circuit:     orig.Name,
+			Metric:      strings.ToLower(cmp.Kind().String()),
+			Bound:       errBound,
+			Seed:        params.Seed,
+			Patterns:    patCount,
+			Workers:     runner.Workers(),
+			InitialAnds: fresh.NumAnds(),
+			StartRound:  round0,
+			Resumed:     opt.Start != nil && opt.Start.Graph != nil,
+		}
+		if led {
+			meta.InitialArea, _ = mapping.AreaDelay(fresh)
+			meta.InitialDepth = fresh.Depth()
+		}
+		rec.RunMeta(meta)
 	}
 
 	for round := round0; ; round++ {
@@ -147,7 +152,6 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		cands := lac.Generate(g, simRes, opt.GenCfg)
 		genSpan.End()
 		rs.Candidates = len(cands)
-		rec.CountCandidates(len(cands))
 		if len(cands) == 0 {
 			roundSpan.End()
 			reason = runctl.Stagnated
@@ -194,27 +198,18 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 		rs.RoundDuration = time.Since(roundStart)
 		result.Rounds = append(result.Rounds, rs)
 		result.LACsApplied++
-		rec.CountApplied(1)
 		roundSpan.End()
-		rec.EndRound(round, e, gNew.NumAnds(), noProgress, 1)
-		if led {
-			ev := obs.RoundEvent{
-				Round:      round,
-				Candidates: rs.Candidates,
-				BudgetLeft: errBound - eG,
-				EstErr:     rs.EstimatedErr,
-				Error:      e,
-				NumAnds:    gNew.NumAnds(),
-				Depth:      gNew.Depth(),
-				NoProgress: noProgress,
-				DurationUS: rs.RoundDuration.Microseconds(),
-				Applied: []obs.AppliedLAC{{
-					Target: best.Target, Gain: best.Gain,
-					DeltaE: best.DeltaE, MeasuredErr: e,
-				}},
+		if rec != nil {
+			// The recorder hears of the round before Progress, whose
+			// checkpointer snapshots the recorder's counters.
+			ev := rs.Event(gNew.NumAnds(), errBound-eG, []*lac.LAC{best}, nil)
+			if led {
+				// The one applied LAC's error alone is the round's.
+				ev.Applied[0].MeasuredErr = e
+				ev.Area, _ = mapping.AreaDelay(gNew)
+				ev.Depth = gNew.Depth()
 			}
-			ev.Area, _ = mapping.AreaDelay(gNew)
-			rec.EmitRound(ev)
+			rec.Round(ev)
 		}
 		if opt.Progress != nil {
 			snap := rs
@@ -227,20 +222,21 @@ func RunWithComparatorCtx(ctx context.Context, orig *aig.Graph, cmp *errmetric.C
 	result.Error = eG
 	result.StopReason = reason
 	result.Runtime = time.Since(start)
-	if led {
-		area, _ := mapping.AreaDelay(g)
-		rec.EmitFinish(obs.RunFinish{
+	if rec != nil {
+		fin := obs.RunFinish{
 			StopReason:  reason.String(),
 			Rounds:      round0 + len(result.Rounds),
 			Error:       eG,
 			NumAnds:     g.NumAnds(),
-			Area:        area,
-			Depth:       g.Depth(),
 			LACsApplied: result.LACsApplied,
 			RuntimeUS:   result.Runtime.Microseconds(),
-		})
+		}
+		if led {
+			fin.Area, _ = mapping.AreaDelay(g)
+			fin.Depth = g.Depth()
+		}
+		rec.Finish(fin)
 	}
-	rec.Finish(reason.String())
 	return result
 }
 

@@ -23,8 +23,9 @@ import (
 // jobSink streams a run's obs ledger events into the job's
 // subscriber fanout and keeps the live trajectory fields (round,
 // error, size) and the watchdog heartbeat fresh. It implements
-// obs.Sink; attaching it makes the flows construct full RoundEvents,
-// which is exactly what the SSE stream serves.
+// obs.Sink; attaching it makes the flows fill the events' ledger
+// columns (area, depth, measured errors), which is exactly what the
+// SSE stream serves.
 type jobSink struct{ j *job }
 
 func (s *jobSink) RunMeta(mt obs.RunMeta) {
@@ -199,7 +200,7 @@ func (m *Manager) persistResult(j *job, res *core.Result, runtime time.Duration)
 	j.mu.Lock()
 	id := j.info.ID
 	resumed := j.info.Resumed
-	initial := j.info.NumAnds
+	initial := j.initialAnds
 	j.mu.Unlock()
 	var sb strings.Builder
 	if err := blif.Write(&sb, res.Final); err != nil {
@@ -279,6 +280,7 @@ func (m *Manager) execute(j *job) (res *core.Result, runtime time.Duration, err 
 	}
 	j.mu.Lock()
 	j.info.NumAnds = g.NumAnds()
+	j.initialAnds = g.NumAnds()
 	j.mu.Unlock()
 	ropt.Recorder = obs.NewRecorder()
 	ropt.Recorder.AddSink(&jobSink{j: j})

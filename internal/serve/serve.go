@@ -133,6 +133,10 @@ type job struct {
 	// lastBeat is the watchdog heartbeat: the time the job last made
 	// observable progress. Guarded by mu.
 	lastBeat time.Time
+	// initialAnds is the input circuit's AND count, which the job's
+	// result reports; info.NumAnds follows the run's rounds. Set by
+	// execute, guarded by mu.
+	initialAnds int
 	// enqueuedAt is when the job last entered the queue (submission,
 	// recovery, or the drain back-edge); the dispatch latency between
 	// it and runJob feeds the queue-wait histogram. Guarded by mu.

@@ -430,6 +430,11 @@ func TestUncertifiedRoundNeverSnapshotted(t *testing.T) {
 	if res.Error != 0 || res.Rounds != 1 {
 		t.Errorf("result has error %v after %d rounds; want the exact circuit after round 0", res.Error, res.Rounds)
 	}
+	// The result's initial size is the input's, not the size of the
+	// round that failed certification.
+	if res.InitialAnds != 613 {
+		t.Errorf("result has %d initial ANDs; want the input's 613", res.InitialAnds)
+	}
 	snap, err := checkpoint.Latest(filepath.Join(dir, "jobs", j.ID, "ckpt"))
 	if err == nil {
 		t.Fatalf("uncertified run left a snapshot of round %d (sampled error %v)", snap.Round, snap.Error)

@@ -253,7 +253,6 @@ func (c *Checkpointer) saveLast() bool {
 // interrupted run's newest accepted round is saved before Run returns.
 func (s *Session) Run(ctx context.Context, onRound func(core.RoundStats)) *core.Result {
 	opt := s.Opt
-	opt.Recorder.SetRunInfo(s.Method, s.Graph.Name, s.metricName(), s.Bound, s.Graph.NumAnds())
 	if onRound != nil || s.bundle != nil || s.ckpt != nil {
 		opt.Progress = func(rs core.RoundStats) {
 			if onRound != nil {
@@ -295,6 +294,8 @@ func (s *Session) Summary(res *core.Result) ledger.RunSummary {
 		RuntimeSeconds: res.Runtime.Seconds(),
 		StopReason:     res.StopReason.String(),
 		IndpWinRate:    res.IndpRatio(),
+		Certified:      res.Certified,
+		CertConflicts:  res.CertConflicts,
 		Obs:            s.Opt.Recorder.Summary(),
 	}
 }

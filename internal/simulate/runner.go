@@ -37,7 +37,7 @@ type andJob struct {
 // reaches near-zero steady-state allocation. Calls on one Runner must
 // be serialized — at most one Run or Release at a time, though the
 // caller may hand the Runner between goroutines with a happens-before
-// edge (the flows' simulation prefetch does exactly that).
+// edge.
 type Runner struct {
 	workers  int
 	slabs    par.SlabPool
